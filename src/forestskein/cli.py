@@ -15,7 +15,7 @@ import sys
 
 import click
 
-from . import corpus, fractions, group_presentation as gp, oracle, ordered_action as oa
+from . import corpus, fractions, group_presentation as gp, ordered_action as oa
 from . import ore_spine, reversing
 from .config import SearchBounds, SpineBounds
 from .forest import ForestError, leaf_count, parse_tree, render_tree
@@ -200,10 +200,9 @@ def _parse_element(p: SkeinPresentation, text: str, base: str, bound: int):
     m = _FRACTION_RE.match(text)
     if m:
         try:
-            num, den = parse_tree(m.group(1)), parse_tree(m.group(2))
-        except ForestError as e:
+            return fractions.GroupElement(parse_tree(m.group(1)), parse_tree(m.group(2)), p)
+        except ValueError as e:
             raise CliError(str(e))
-        return fractions.GroupElement(num, den, p)
     try:
         letters = _parse_group_word(p, text)
         return fractions.word_to_element(letters, base, p, bound)
@@ -292,13 +291,22 @@ def _parse_perm(text: str, n: int):
 
 def _parse_perm_element(p, text: str) -> oa.PermutationElement:
     parts = [s.strip() for s in text.strip().lstrip("[").rstrip("]").split(";")]
-    if len(parts) == 2:
-        num, den = parse_tree(parts[0]), parse_tree(parts[1])
-        return oa.from_fraction(fractions.GroupElement(num, den, p))
-    if len(parts) != 3:
+    if len(parts) not in (2, 3):
         raise CliError("element literal is [tree ; perm ; tree]")
-    num, den = parse_tree(parts[0]), parse_tree(parts[2])
-    return oa.PermutationElement(num, _parse_perm(parts[1], leaf_count(num)), den, p)
+    try:
+        num, den = parse_tree(parts[0]), parse_tree(parts[-1])
+        if len(parts) == 2:
+            return oa.from_fraction(fractions.GroupElement(num, den, p))
+        return oa.PermutationElement(num, _parse_perm(parts[1], leaf_count(num)), den, p)
+    except ValueError as e:
+        raise CliError(f"bad element literal {text!r}: {e}")
+
+
+def _parse_point(p, text: str) -> oa.OrderedPoint:
+    try:
+        return oa.point(p, text)
+    except ValueError as e:
+        raise CliError(f"bad point literal {text!r}: {e}")
 
 
 @main.command()
@@ -328,7 +336,7 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
     if subcommand == "compare":
         if len(args) != 2:
             raise CliError("compare needs two point literals `tree:leaf`")
-        x, y = (oa.point(p, a) for a in args)
+        x, y = (_parse_point(p, a) for a in args)
         ans = oa.compare(x, y, bound) or "unknown"
         report.data["result"] = ans
         lines.append(f"{x.render()}  {ans}  {y.render()}")
@@ -336,7 +344,7 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
         if len(args) != 2:
             raise CliError("act needs an element literal and a point literal")
         g = _parse_perm_element(p, args[0])
-        x = oa.point(p, args[1])
+        x = _parse_point(p, args[1])
         try:
             y = oa.act(g, x, bound)
             report.data["result"] = y.render()
@@ -361,7 +369,10 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
     else:
         if len(args) != 1:
             raise CliError("stabilizer needs a tree literal")
-        t = parse_tree(args[0])
+        try:
+            t = parse_tree(args[0])
+        except ForestError as e:
+            raise CliError(str(e))
         stab = oa.stabilizer_generators(p, t)
         pts = stab.points()
         orbit = [oa.act(stab.cyclic, x, bound).render() for x in pts]

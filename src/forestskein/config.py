@@ -32,9 +32,3 @@ class SearchBounds:
     lc_refute_bound: int = 4
     absorption_bound: int = 3    # caret size of trees tested against iterates
     iterate_depth: int = 3
-
-
-DEFAULT_ORACLE = OracleBudget()
-DEFAULT_REVERSING = ReversingBudget()
-DEFAULT_SPINE = SpineBounds()
-DEFAULT_SEARCH = SearchBounds()

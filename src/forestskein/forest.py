@@ -193,26 +193,6 @@ def forest_from_word(letters, roots: int) -> Forest:
     return f
 
 
-def word_from_forest(f: Forest) -> list:
-    """Canonical layered word for a forest (same scheme as word_from_tree)."""
-    word = []
-    level = f
-    while not is_trivial(level):
-        nxt, pos = [], 1
-        for tr in level:
-            if tr is None:
-                nxt.append(None)
-                pos += 1
-            else:
-                c, l, r = tr
-                word.append((c, pos))
-                nxt.append(l)
-                nxt.append(r)
-                pos += 2
-        level = tuple(nxt)
-    return word
-
-
 # ---------------------------------------------------------------------------
 # Occurrences and single skein rewriting steps
 
@@ -314,6 +294,40 @@ def divide(f: Forest, g: Forest) -> Optional[Forest]:
     return tuple(subs)
 
 
+def prunable_carets(t: Tree) -> list:
+    """(first leaf position, colour) of carets whose children are both leaves."""
+    out = []
+
+    def walk(node, start):
+        if node is None:
+            return start + 1
+        c, l, r = node
+        if l is None and r is None:
+            out.append((start, c))
+            return start + 2
+        mid = walk(l, start)
+        return walk(r, mid)
+
+    walk(t, 1)
+    return out
+
+
+def strip_caret(t: Tree, pos: int) -> Tree:
+    """Remove the prunable caret whose leaves sit at (pos, pos+1)."""
+    def walk(node, start):
+        if node is None:
+            return LEAF, start + 1
+        c, l, r = node
+        if l is None and r is None and start == pos:
+            return LEAF, start + 2
+        nl, mid = walk(l, start)
+        nr, end = walk(r, mid)
+        return (c, nl, nr), end
+
+    new, _ = walk(t, 1)
+    return new
+
+
 # ---------------------------------------------------------------------------
 # Text literals: trees `I` / `c(left,right)`, forests `[t, t]`, words `a1 a1`
 
@@ -407,14 +421,6 @@ def parse_word(text: str) -> list:
     return letters
 
 
-def parse_tree_or_word(text: str) -> Tree:
-    """A tree literal or a tree word, whichever the text looks like."""
-    stripped = text.strip()
-    if stripped.startswith("[") or "(" in stripped or stripped == "I":
-        return parse_tree(stripped)
-    return tree_from_word(parse_word(stripped))
-
-
 # ---------------------------------------------------------------------------
 # Canonical keys and enumeration
 
@@ -446,11 +452,6 @@ def trees_with_carets(colours, k: int, _cache={}) -> list:
                         out.append((c, l, r))
     _cache[key] = out
     return out
-
-
-def iter_trees_up_to(colours, max_carets: int) -> Iterator[Tree]:
-    for k in range(max_carets + 1):
-        yield from trees_with_carets(colours, k)
 
 
 def forests_with_carets(colours, roots: int, k: int) -> Iterator[Forest]:

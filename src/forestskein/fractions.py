@@ -21,14 +21,15 @@ from dataclasses import dataclass
 from .config import OracleBudget, ReversingBudget, SearchBounds
 from .forest import (
     LEAF,
-    Forest,
     Tree,
     caret_count,
     compose,
     elementary,
     forest_from_word,
     leaf_count,
+    prunable_carets,
     render_tree,
+    strip_caret,
     tree_key,
     word_from_tree,
 )
@@ -171,38 +172,6 @@ def is_identity(g: GroupElement, bound: int | None = None):
 # Normal form: minimal pair reachable by stripping common carets, with
 # class rewrites interleaved when the strata are small enough to saturate.
 
-def _prunable(t: Tree) -> list:
-    """(leaf position, colour) of carets whose children are both leaves."""
-    out = []
-
-    def walk(node, start):
-        if node is None:
-            return start + 1
-        c, l, r = node
-        if l is None and r is None:
-            out.append((start, c))
-            return start + 2
-        mid = walk(l, start)
-        return walk(r, mid)
-    walk(t, 1)
-    return out
-
-
-def _strip(t: Tree, pos: int) -> Tree:
-    """Remove the prunable caret whose leaves sit at (pos, pos+1)."""
-    def walk(node, start):
-        if node is None:
-            return None, start + 1
-        c, l, r = node
-        if l is None and r is None and start == pos:
-            return LEAF, start + 2
-        nl, mid = walk(l, start)
-        nr, end = walk(r, mid)
-        return (c, nl, nr), end
-    new, _ = walk(t, 1)
-    return new
-
-
 def normal_form(g: GroupElement, bound: int | None = None,
                 oracle_budget: OracleBudget | None = None) -> GroupElement:
     """Minimal-caret representative pair; ties broken by canonical word order.
@@ -241,10 +210,10 @@ def normal_form(g: GroupElement, bound: int | None = None,
             if pair not in seen:
                 seen.add(pair)
                 frontier.append(pair)
-            strip_t = dict(_prunable(tv))
-            for pos, colour in _prunable(sv):
+            strip_t = dict(prunable_carets(tv))
+            for pos, colour in prunable_carets(sv):
                 if strip_t.get(pos) == colour:
-                    reduced = (_strip(tv, pos), _strip(sv, pos))
+                    reduced = (strip_caret(tv, pos), strip_caret(sv, pos))
                     if reduced not in seen:
                         seen.add(reduced)
                         frontier.append(reduced)

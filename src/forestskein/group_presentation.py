@@ -341,8 +341,6 @@ def good_generator_list(p: SkeinPresentation, colour_order=None,
     base = p.colours[0]
     pattern = [((3, 1), (4, -1)), ((1, 1), (2, -1)), ((4, 1), (5, -1)),
                ((2, 1), (3, -1)), ((5, 1),)]
-    if len(pattern) < 2:
-        raise ValueError("each colour block needs at least two entries")
     elements = []
     for x in colours:
         for shape in pattern:

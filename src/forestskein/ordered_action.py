@@ -29,8 +29,10 @@ from .forest import (
     leaf_count,
     leaf_starts,
     parse_tree,
+    prunable_carets,
     random_tree,
     render_tree,
+    strip_caret,
     tree_key,
     trees_with_carets,
 )
@@ -96,26 +98,6 @@ def zappa_szep(perm: Perm, f: Forest) -> tuple:
     return f_tau, tuple(out)
 
 
-def _push_through(perm: Perm, f: Forest) -> tuple:
-    """(f shuffled so block j lands at slot perm(j), the induced leaf map).
-
-    Growing a triple (s, perm, t) by f on the denominator side grows the
-    numerator by the shuffled forest g with g_{perm(j)} = f_j; the new
-    permutation maps block j of f onto block perm(j) of g, order-preserved.
-    """
-    n = len(f)
-    inv = invert_perm(perm)
-    g = tuple(f[inv[i] - 1] for i in range(n))
-    starts_f = leaf_starts(f)
-    starts_g = leaf_starts(g)
-    out = [0] * sum(leaf_count(t) for t in f)
-    for j in range(n):
-        width = leaf_count(f[j])
-        for o in range(width):
-            out[starts_f[j] + o] = starts_g[perm[j] - 1] + o + 1
-    return g, tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Points
 
@@ -127,39 +109,6 @@ class OrderedPoint:
 
     def render(self) -> str:
         return f"{render_tree(self.tree)}:{self.leaf}"
-
-
-def _prunable_sites(t: Tree) -> list:
-    """(first leaf position, colour) of carets with two leaf children."""
-    out = []
-
-    def walk(node, start):
-        if node is None:
-            return start + 1
-        c, l, r = node
-        if l is None and r is None:
-            out.append((start, c))
-            return start + 2
-        mid = walk(l, start)
-        return walk(r, mid)
-
-    walk(t, 1)
-    return out
-
-
-def _strip_site(t: Tree, pos: int) -> Tree:
-    def walk(node, start):
-        if node is None:
-            return None, start + 1
-        c, l, r = node
-        if l is None and r is None and start == pos:
-            return None, start + 2
-        nl, mid = walk(l, start)
-        nr, end = walk(r, mid)
-        return (c, nl, nr), end
-
-    new, _ = walk(t, 1)
-    return new
 
 
 def raw_points_equal(p: SkeinPresentation, a: tuple, b: tuple,
@@ -205,11 +154,11 @@ def _shrink_point(p: SkeinPresentation, t: Tree, j: int,
             if pair not in seen:
                 seen.add(pair)
                 frontier.append(pair)
-            for pos, _colour in _prunable_sites(v):
+            for pos, _colour in prunable_carets(v):
                 if cur_j == pos + 1:
                     continue          # the distinguished leaf is the right leaf
                 nj = cur_j if cur_j <= pos else cur_j - 1
-                reduced = (_strip_site(v, pos), nj)
+                reduced = (strip_caret(v, pos), nj)
                 if reduced not in seen:
                     seen.add(reduced)
                     frontier.append(reduced)
@@ -325,10 +274,10 @@ def perm_invert(g: PermutationElement) -> PermutationElement:
 
 def _grow_triple(g: PermutationElement, f: Forest) -> PermutationElement:
     """Grow the denominator by f, shuffling f onto the numerator side."""
-    shuffled, lifted = _push_through(g.perm, f)
+    shuffled, block_map = zappa_szep(invert_perm(g.perm), f)
     return PermutationElement(
         compose((g.numerator,), shuffled)[0],
-        lifted,
+        invert_perm(block_map),
         compose((g.denominator,), f)[0],
         g.presentation,
     )

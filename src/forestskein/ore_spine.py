@@ -218,25 +218,17 @@ def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int,
                budget, oracle_budget) -> list:
     """Minimal common multiples of two tree classes, as tree representatives."""
     wx, wy = word_from_tree(x), word_from_tree(y)
-    if fractions.uses_reversing(p):
-        w = _join_word(p, wx, wy, budget)
-        if w is None or len(w) > caret_bound:
-            return []
-        return [forest_from_word(w, 1)[0]]
-    # explore every reversal branch; each terminating branch is a common
-    # multiple, minimality is filtered by divisibility
+    # every terminal of the reversal is a common multiple (exactly one on a
+    # complemented presentation); minimality is filtered by divisibility
     out = reversing.reverse(
         p,
         reversing.inverse_word(reversing.positive_word(wx))
         + reversing.positive_word(wy),
         budget,
     )
-    results = out.branches or ([out.result] if out.terminated else [])
     candidates = []
-    for res in results:
-        if res is None:
-            continue
-        w = tuple(wx) + res[0]
+    for left, _ in out.terminals:
+        w = tuple(wx) + left
         if len(w) <= caret_bound:
             z = forest_from_word(w, 1)[0]
             if not any(reversing.words_equal(p, word_from_tree(z), word_from_tree(c),

@@ -77,10 +77,6 @@ class SkeinPresentation:
     def colour_rank(self) -> dict:
         return {c: i for i, c in enumerate(self.colours)}
 
-    def root_pair(self, relation) -> tuple:
-        lhs, rhs = relation
-        return (lhs[0], rhs[0])
-
     def digest(self) -> str:
         return hashlib.sha256(render(self).encode()).hexdigest()[:12]
 

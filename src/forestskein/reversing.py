@@ -61,16 +61,20 @@ def render_signed_word(w: SignedWord) -> str:
     return " ".join(f"{c}{i}" + ("^-1" if s < 0 else "") for c, i, s in w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReversalOutcome:
-    status: str                                  # terminated | empty | blocked | budget_exhausted | branching
-    result: tuple | None = None                  # (positive left part, positive right part)
-    trace: list = field(default_factory=list)    # steps {rule, position}
-    branches: list = field(default_factory=list) # distinct terminal outcomes when branching
+    status: str         # terminated | empty | blocked | budget_exhausted | branching
+    terminals: tuple    # distinct (positive left part, positive right part) pairs reached
+    steps: int          # rewriting steps taken
 
     @property
     def terminated(self) -> bool:
         return self.status in ("terminated", "empty")
+
+    @property
+    def result(self) -> tuple | None:
+        """The unique terminal pair when the reversal terminated, else None."""
+        return self.terminals[0] if self.terminated else None
 
 
 class _Rules:
@@ -82,45 +86,47 @@ class _Rules:
     finds the common multiples they witness.  This matters for the
     monochromatic-pair family, whose emitted presentations pair a reference
     colour with every other colour only.
+
+    `by_pair` maps a colour pair (x, y) to the replacement words of the
+    pattern x_1^-1 y_1 with indices lowered by one, so that the pattern at
+    index i is replaced by the template shifted by i.
     """
 
     def __init__(self, p: SkeinPresentation):
-        self.presentation = p
-        self.words = list(skein_relation_words(p))
-        if is_complemented(p):
-            self.words.extend(_derived_pairs(self.words))
+        words = list(skein_relation_words(p))
+        self.deterministic = is_complemented(p)
+        if self.deterministic:
+            words.extend(_derived_pairs(words))
         self.by_pair: dict = {}
         self.same_root: list = []
-        for rel_id, (lw, rw) in enumerate(self.words):
+        for lw, rw in words:
             x, y = lw[0][0], rw[0][0]
             tail_l, tail_r = lw[1:], rw[1:]
             if x == y:
-                self.same_root.append((rel_id, tail_l, tail_r))
-                self.by_pair.setdefault((x, y), []).append((rel_id, tail_l, tail_r))
+                self.same_root.append((tail_l, tail_r))
+                self._add(x, x, tail_l, tail_r)
                 if tail_l != tail_r:
-                    self.by_pair.setdefault((x, y), []).append((rel_id, tail_r, tail_l))
+                    self._add(x, x, tail_r, tail_l)
             else:
-                self.by_pair.setdefault((x, y), []).append((rel_id, tail_l, tail_r))
-                self.by_pair.setdefault((y, x), []).append((rel_id, tail_r, tail_l))
-        self.deterministic = is_complemented(p)
+                self._add(x, y, tail_l, tail_r)
+                self._add(y, x, tail_r, tail_l)
 
-    def moves(self, neg, pos):
-        """All replacement words for the pattern neg^-1 pos, with rule labels."""
+    def _add(self, x, y, tail_x, tail_y):
+        template = tuple((c, k - 1, 1) for c, k in tail_x) + \
+            tuple((c, k - 1, -1) for c, k in reversed(tail_y))
+        self.by_pair.setdefault((x, y), []).append(template)
+
+    def moves(self, neg, pos) -> list:
+        """All replacement words for the pattern neg^-1 pos, in exploration order."""
         x, i, _ = neg
         y, j, _ = pos
-        out = []
-        if (x, i) == (y, j):
-            out.append(("deletion", ()))
         if i < j:
-            out.append(("thompson", ((y, j + 1, 1), (x, i, -1))))
-        elif i > j:
-            out.append(("thompson", ((y, j, 1), (x, i + 1, -1))))
-        else:
-            off = i - 1
-            for rel_id, tail_x, tail_y in self.by_pair.get((x, y), ()):
-                repl = tuple((c, k + off, 1) for c, k in tail_x) + \
-                    tuple((c, k + off, -1) for c, k in reversed(tail_y))
-                out.append((f"skein:{rel_id}", repl))
+            return [((y, j + 1, 1), (x, i, -1))]
+        if i > j:
+            return [((y, j, 1), (x, i + 1, -1))]
+        out = [()] if x == y else []
+        out.extend(tuple((c, k + i, s) for c, k, s in template)
+                   for template in self.by_pair.get((x, y), ()))
         return out
 
 
@@ -173,6 +179,8 @@ def _split(w) -> tuple:
 
 def reverse(p: SkeinPresentation, w: SignedWord,
             budget: ReversingBudget | None = None) -> ReversalOutcome:
+    """Reverse w, deterministically on complemented presentations and by
+    exhaustive search over every move otherwise."""
     budget = budget or ReversingBudget()
     rules = _rules(p)
     if rules.deterministic:
@@ -182,28 +190,24 @@ def reverse(p: SkeinPresentation, w: SignedWord,
 
 def _reverse_det(rules: _Rules, w: SignedWord, budget: ReversingBudget) -> ReversalOutcome:
     word = list(w)
-    trace: list = []
     steps = 0
     hint = 0
     while True:
         k = _find_pattern(word, hint - 1)
         if k < 0:
-            left, right = _split(word)
             status = "empty" if not word else "terminated"
-            return ReversalOutcome(status, (left, right), trace)
+            return ReversalOutcome(status, (_split(word),), steps)
         if steps >= budget.steps:
-            return ReversalOutcome("budget_exhausted", None, trace)
+            return ReversalOutcome("budget_exhausted", (), steps)
         moves = rules.moves(word[k], word[k + 1])
         if not moves:
-            return ReversalOutcome("blocked", None, trace)
-        rule, repl = moves[0]
+            return ReversalOutcome("blocked", (), steps)
+        repl = moves[0]
         if any(i > budget.index_ceiling for _, i, _ in repl):
-            return ReversalOutcome("budget_exhausted", None, trace)
-        trace.append({"rule": rule, "position": k})
-        word[k:k + 2] = list(repl)
+            return ReversalOutcome("budget_exhausted", (), steps)
+        word[k:k + 2] = repl
         steps += 1
         hint = k
-    # unreachable
 
 
 def _reverse_branching(rules: _Rules, w: SignedWord, budget: ReversingBudget) -> ReversalOutcome:
@@ -215,7 +219,7 @@ def _reverse_branching(rules: _Rules, w: SignedWord, budget: ReversingBudget) ->
     steps = 0
     while frontier:
         cur = frontier.pop()
-        k = _find_pattern(list(cur))
+        k = _find_pattern(cur)
         if k < 0:
             res = _split(cur)
             if res not in terminals:
@@ -225,7 +229,7 @@ def _reverse_branching(rules: _Rules, w: SignedWord, budget: ReversingBudget) ->
         if not moves:
             blocked = True
             continue
-        for _, repl in moves:
+        for repl in moves:
             steps += 1
             if steps > budget.steps or len(seen) > budget.branch_cap:
                 exhausted = True
@@ -234,41 +238,26 @@ def _reverse_branching(rules: _Rules, w: SignedWord, budget: ReversingBudget) ->
             if any(i > budget.index_ceiling for _, i, _ in repl):
                 exhausted = True
                 continue
-            nxt = cur[:k] + tuple(repl) + cur[k + 2:]
+            nxt = cur[:k] + repl + cur[k + 2:]
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     if exhausted:
-        return ReversalOutcome("budget_exhausted", None, [], terminals)
-    if len(terminals) == 1 and not blocked:
-        left, right = terminals[0]
-        status = "empty" if not (left or right) else "terminated"
-        return ReversalOutcome(status, terminals[0], [])
-    if not terminals:
-        return ReversalOutcome("blocked", None, [])
-    return ReversalOutcome("branching", None, [], terminals)
+        status = "budget_exhausted"
+    elif len(terminals) == 1 and not blocked:
+        status = "empty" if terminals[0] == ((), ()) else "terminated"
+    else:
+        status = "branching" if terminals else "blocked"
+    return ReversalOutcome(status, tuple(terminals), steps)
 
 
 def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
                       budget: ReversingBudget | None = None) -> str:
     """'yes' when some reversal run of w reaches the empty word, 'no', or 'unknown'."""
-    budget = budget or ReversingBudget()
-    rules = _rules(p)
-    if rules.deterministic:
-        out = _reverse_det(rules, w, budget)
-        if out.status == "empty":
-            return "yes"
-        if out.status == "budget_exhausted":
-            return "unknown"
-        return "no"
-    out = _reverse_branching(rules, w, budget)
-    hits = [r for r in out.branches or ([out.result] if out.terminated else [])
-            if r is not None and not r[0] and not r[1]]
-    if out.status == "empty" or hits:
+    out = reverse(p, w, budget)
+    if ((), ()) in out.terminals:
         return "yes"
-    if out.status == "budget_exhausted":
-        return "unknown"
-    return "no"
+    return "unknown" if out.status == "budget_exhausted" else "no"
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +287,10 @@ def left_divides(p: SkeinPresentation, u, v,
     Via reversing: u^-1 v must reverse to a purely positive word.  "yes" is
     sound always; "no" is conclusive only for complete presentations.
     """
-    w = inverse_word(positive_word(u)) + positive_word(v)
-    rules = _rules(p)
-    budget = budget or ReversingBudget()
-    if rules.deterministic:
-        out = _reverse_det(rules, w, budget)
-        if out.terminated:
-            return "yes" if not out.result[1] else "no"
-        return "unknown" if out.status == "budget_exhausted" else "no"
-    out = _reverse_branching(rules, w, budget)
-    results = out.branches or ([out.result] if out.terminated else [])
-    if any(r is not None and not r[1] for r in results):
+    out = reverse(p, inverse_word(positive_word(u)) + positive_word(v), budget)
+    if any(not right for _, right in out.terminals):
         return "yes"
-    if out.status == "budget_exhausted":
-        return "unknown"
-    return "no"
+    return "unknown" if out.status == "budget_exhausted" else "no"
 
 
 def words_equal(p: SkeinPresentation, u, v,
@@ -336,22 +314,13 @@ def words_equal(p: SkeinPresentation, u, v,
 def scc_at(p: SkeinPresentation, u, v, w,
            budget: ReversingBudget | None = None) -> str:
     """satisfied / violated / unknown for the cube condition at positive words (u, v, w)."""
-    budget = budget or ReversingBudget()
-    rules = _rules(p)
     quad = (inverse_word(positive_word(u)) + positive_word(w)
             + inverse_word(positive_word(w)) + positive_word(v))
-    if rules.deterministic:
-        out = _reverse_det(rules, quad, budget)
-        terminals = [out.result] if out.terminated else []
-        if out.status == "budget_exhausted":
-            return "unknown"
-    else:
-        out = _reverse_branching(rules, quad, budget)
-        terminals = out.branches or ([out.result] if out.terminated else [])
-        if out.status == "budget_exhausted":
-            return "unknown"
+    out = reverse(p, quad, budget)
+    if out.status == "budget_exhausted":
+        return "unknown"
     verdict = "satisfied"
-    for vp, up in terminals:
+    for vp, up in out.terminals:
         check = (inverse_word(positive_word(tuple(u) + tuple(vp)))
                  + positive_word(tuple(v) + tuple(up)))
         ans = reverses_to_empty(p, check, budget)
@@ -455,7 +424,7 @@ def decide_left_cancellative(p: SkeinPresentation,
     comp = is_complete(p, budget)
     if comp.verdict == "complete":
         ok = True
-        for rel_id, tail_l, tail_r in _rules(p).same_root:
+        for tail_l, tail_r in _rules(p).same_root:
             ans = words_equal(p, tail_l, tail_r, budget)
             if ans != "yes":
                 ok = False

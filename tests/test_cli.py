@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from click.testing import CliRunner
 
 from forestskein.cli import main
@@ -99,12 +101,31 @@ def test_eval():
     assert "identity: True" in res.output
 
 
+def test_eval_unequal_fraction_sides_exit_2():
+    res = run("eval", "free1", "[a(I,I) ; I]")
+    assert res.exit_code == 2
+    assert "equal leaf counts" in res.output
+
+
 def test_qspace_compare_and_act():
     res = run("qspace", "free1", "compare", "a(I,I):1", "a(I,I):2")
     assert "LT" in res.output
     res = run("qspace", "free1", "act",
               "[a(a(I,I),I) ; cyc3 ; a(a(I,I),I)]", "a(a(I,I),I):1")
     assert "a(a(I,I),I):2" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("compare", "a(I,I):5", "a(I,I):1"),                      # leaf out of range
+    ("compare", "a(I,I):x", "a(I,I):1"),                      # non-integer leaf
+    ("act", "[a(I,I) ; (1,1) ; a(I,I)]", "a(I,I):1"),         # not a bijection
+])
+def test_qspace_bad_literals_exit_2(args):
+    res = run("qspace", "free1", *args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "Error:" in res.output
 
 
 def test_qspace_transitivity():

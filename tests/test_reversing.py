@@ -174,7 +174,7 @@ def test_determinism(cleary):
     w = sw("a2^-1 b1 b1^-1 a1 a1^-1 b2")
     first = rv.reverse(cleary, w)
     second = rv.reverse(cleary, w)
-    assert first.trace == second.trace
+    assert first == second
     assert first.result == second.result
 
 
@@ -210,4 +210,17 @@ def test_index_ceiling(cleary):
 def test_branching_status(notlc):
     out = rv.reverse(notlc, sw("a1^-1 b1"))
     assert out.status == "branching"
-    assert len(out.branches) >= 2
+    assert len(out.terminals) >= 2
+
+
+def test_branching_budget_exhaustion_keeps_terminals(rebel):
+    w = sw("a1^-1 a1^-1 b1 b1")
+    full = rv.reverse(rebel, w)
+    assert full.status == "branching"
+    cut = rv.reverse(rebel, w, ReversingBudget(steps=4))
+    assert cut.status == "budget_exhausted"
+    assert cut.result is None
+    assert cut.terminals == (((), ()),)
+    assert set(cut.terminals) < set(full.terminals)
+    # a terminal reached before the budget ran out still decides
+    assert rv.reverses_to_empty(rebel, w, ReversingBudget(steps=4)) == "yes"
