@@ -3,7 +3,7 @@
 
 Samples order-law triples, flavour chains, transitivity witnesses, and
 stabilizer fixers, and prints one JSON report per experiment in the shape
-{experiment, samples, violations, unresolved, bounds}.
+{experiment, presentation, samples, violations, unresolved, bounds}.
 """
 
 import argparse
@@ -14,25 +14,10 @@ from forestskein import corpus, fractions as fr, ordered_action as oa
 from forestskein.forest import leaf_count, random_tree, trees_with_carets
 
 
-def rand_point(p, rng, max_carets):
-    t = random_tree(rng, p.colours, rng.randrange(1, max_carets + 1))
-    return oa.normalize_point(p, t, rng.randrange(1, leaf_count(t) + 1))
-
-
-def rand_point_set(p, rng, k, max_carets):
-    pts = []
-    while len(pts) < k:
-        x = rand_point(p, rng, max_carets)
-        if all(oa.raw_points_equal(p, (x.tree, x.leaf), (y.tree, y.leaf)) is False
-               for y in pts):
-            pts.append(x)
-    return pts
-
-
 def order_laws(p, rng, samples, bound, max_carets):
     violations = unresolved = 0
     for _ in range(samples):
-        x, y, z = (rand_point(p, rng, max_carets) for _ in range(3))
+        x, y, z = (oa.random_point(p, rng, max_carets) for _ in range(3))
         c = [oa.compare(x, y, bound), oa.compare(y, z, bound), oa.compare(x, z, bound)]
         if None in c:
             unresolved += 1
@@ -61,8 +46,8 @@ def transitivity(p, rng, samples, bound, max_carets):
     violations = unresolved = 0
     for _ in range(samples):
         k = rng.choice([1, 2, 3])
-        A = rand_point_set(p, rng, k, max_carets)
-        B = rand_point_set(p, rng, k, max_carets)
+        A = oa.random_point_set(p, rng, k, max_carets)
+        B = oa.random_point_set(p, rng, k, max_carets)
         g = oa.transitivity_witness(A, B, bound)
         if g is None:
             unresolved += 1

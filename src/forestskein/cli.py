@@ -355,8 +355,8 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
     elif subcommand == "transitivity":
         found = unresolved = 0
         for _ in range(samples):
-            A = _random_point_set(p, rng, k)
-            B = _random_point_set(p, rng, k)
+            A = oa.random_point_set(p, rng, k)
+            B = oa.random_point_set(p, rng, k)
             g = oa.transitivity_witness(A, B, bound)
             if g is None:
                 unresolved += 1
@@ -386,18 +386,6 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
         lines.append(f"cyclic element orbit: {orbit}")
         lines.append(f"sampled fixers verified: {fixed}/{samples}")
     emit(report, as_json, lines)
-
-
-def _random_point_set(p, rng, k):
-    from .forest import random_tree
-    pts = []
-    while len(pts) < k:
-        t = random_tree(rng, p.colours, rng.randrange(1, 5))
-        x = oa.normalize_point(p, t, rng.randrange(1, leaf_count(t) + 1))
-        if all(oa.raw_points_equal(p, (x.tree, x.leaf), (y.tree, y.leaf)) is False
-               for y in pts):
-            pts.append(x)
-    return pts
 
 
 @main.group()

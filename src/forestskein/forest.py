@@ -20,6 +20,7 @@ codec round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, Iterator, Optional
 
@@ -464,6 +465,12 @@ def forests_with_carets(colours, roots: int, k: int) -> Iterator[Forest]:
         for t in trees_with_carets(colours, first):
             for rest in forests_with_carets(colours, roots - 1, k - first):
                 yield (t,) + rest
+
+
+def forest_count(colours, roots: int, k: int) -> int:
+    """len(forests_with_carets(colours, roots, k)) in closed form, for roots >= 1:
+    (r / (2k + r)) * C(2k + r, k) * c^k, the ballot number times the colourings."""
+    return roots * math.comb(2 * k + roots, k) // (2 * k + roots) * len(colours) ** k
 
 
 def random_tree(rng, colours, carets: int) -> Tree:

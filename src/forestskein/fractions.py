@@ -120,13 +120,12 @@ def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree, bound: int,
         except oracle.BudgetExceeded:
             break
         for cls in table.classes:
-            z = cls[0]
-            if caret_count(z[0]) != k:
+            if caret_count(cls[0][0]) != k:
                 continue
-            f = oracle.class_leq(p, (t,), z)
+            f = oracle.divide_class((t,), cls)
             if f is None:
                 continue
-            f2 = oracle.class_leq(p, (s,), z)
+            f2 = oracle.divide_class((s,), cls)
             if f2 is not None:
                 return f, f2
     raise Unresolved(f"no common multiple of {render_tree(t)} and {render_tree(s)} "
@@ -169,55 +168,34 @@ def is_identity(g: GroupElement, bound: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Normal form: minimal pair reachable by stripping common carets, with
-# class rewrites interleaved when the strata are small enough to saturate.
+# Normal form: the least pair reachable by stripping common carets and
+# rewriting either side inside its congruence class.
 
 def normal_form(g: GroupElement, bound: int | None = None,
                 oracle_budget: OracleBudget | None = None) -> GroupElement:
     """Minimal-caret representative pair; ties broken by canonical word order.
 
-    Explores every pair reachable by rewriting either side inside its
-    congruence class and stripping common carets, and takes the least.
-    Strata too large to saturate fall back to structural stripping only, in
-    which case the result may not be globally minimal.
+    The least (carets, numerator word, denominator word) pair found by
+    `oracle.descend`.  Strata too large to saturate fall back to structural
+    stripping only, in which case the result may not be globally minimal.
     """
     p = g.presentation
-    budget = oracle_budget or OracleBudget()
     rank = p.colour_rank
-    seen = set()
-    start = (g.numerator, g.denominator)
-    frontier = [start]
-    seen.add(start)
-    best = start
 
-    def key(pair):
-        return (caret_count(pair[0]), tree_key(pair[0], rank), tree_key(pair[1], rank))
+    def key(state):
+        (t, s), _ = state
+        return (caret_count(t), tree_key(t, rank), tree_key(s, rank))
 
-    while frontier:
-        t, s = frontier.pop()
-        if key((t, s)) < key(best):
-            best = (t, s)
-        variants = [(t, s)]
-        if caret_count(t) <= budget.caret_cap and p.relations:
-            try:
-                tab = oracle.saturate(p, 1, caret_count(t), budget)
-                variants = [(tv[0], sv[0])
-                            for tv in tab.members((t,)) for sv in tab.members((s,))]
-            except oracle.BudgetExceeded:
-                pass
-        for tv, sv in variants:
-            pair = (tv, sv)
-            if pair not in seen:
-                seen.add(pair)
-                frontier.append(pair)
-            strip_t = dict(prunable_carets(tv))
-            for pos, colour in prunable_carets(sv):
-                if strip_t.get(pos) == colour:
-                    reduced = (strip_caret(tv, pos), strip_caret(sv, pos))
-                    if reduced not in seen:
-                        seen.add(reduced)
-                        frontier.append(reduced)
-    return GroupElement(best[0], best[1], p)
+    def prune(state):
+        (t, s), _ = state
+        strip_t = dict(prunable_carets(t))
+        for pos, colour in prunable_carets(s):
+            if strip_t.get(pos) == colour:
+                yield (strip_caret(t, pos), strip_caret(s, pos)), None
+
+    (t, s), _ = oracle.descend(p, ((g.numerator, g.denominator), None), key, prune,
+                               oracle_budget)
+    return GroupElement(t, s, p)
 
 
 # ---------------------------------------------------------------------------

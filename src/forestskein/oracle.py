@@ -7,12 +7,18 @@ relation at every occurrence, and close with a union-find.  The resulting
 tables are the ground truth against which the reversing engine is checked,
 and they power the bounded left-cancellativity, Ore, and mcm queries.
 
+`class_members` is the only reader of one congruence class: class order,
+the spine's monochromatic representatives and `descend` (behind both normal
+forms) go through it, so how a class is obtained is decided in one place.
+Whole-stratum questions call `saturate` directly.
+
 Absent/no-failure answers here are evidence up to the stated bound, never
 proofs; callers must carry the bound along with the verdict.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -26,6 +32,7 @@ from .forest import (
     divide,
     find_occurrences,
     forest_caret_count,
+    forest_count,
     forest_key,
     forest_leaf_count,
     forests_with_carets,
@@ -41,12 +48,10 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class CongruenceTable:
-    presentation: SkeinPresentation
     roots: int
     caret_bound: int
     class_of: dict = field(repr=False)          # forest -> class id
     classes: list = field(repr=False)           # class id -> sorted member list
-    canonical: list = field(repr=False)         # class id -> canonical representative
 
     def class_id(self, f: Forest) -> int:
         try:
@@ -57,9 +62,6 @@ class CongruenceTable:
 
     def members(self, f: Forest) -> list:
         return self.classes[self.class_id(f)]
-
-    def representative(self, f: Forest) -> Forest:
-        return self.canonical[self.class_id(f)]
 
 
 class _UnionFind:
@@ -104,13 +106,14 @@ def saturate(p: SkeinPresentation, roots: int, carets: int,
 
 def _build(p: SkeinPresentation, roots: int, carets: int,
            budget: OracleBudget) -> CongruenceTable:
-    all_forests: list = []
-    for k in range(carets + 1):
-        all_forests.extend(forests_with_carets(p.colours, roots, k))
-        if len(all_forests) > budget.class_cap:
-            raise BudgetExceeded(
-                f"stratum ({roots} roots, <= {carets} carets) exceeds "
-                f"{budget.class_cap} forests")
+    # The size is known in closed form, so an over-budget stratum is
+    # refused before any of it is enumerated.
+    if sum(forest_count(p.colours, roots, k) for k in range(carets + 1)) > budget.class_cap:
+        raise BudgetExceeded(
+            f"stratum ({roots} roots, <= {carets} carets) exceeds "
+            f"{budget.class_cap} forests")
+    all_forests = [f for k in range(carets + 1)
+                   for f in forests_with_carets(p.colours, roots, k)]
     index = {f: i for i, f in enumerate(all_forests)}
     uf = _UnionFind(len(all_forests))
     for f in all_forests:
@@ -131,9 +134,8 @@ def _build(p: SkeinPresentation, roots: int, carets: int,
         for f in g:
             class_of[f] = cid
     return CongruenceTable(
-        presentation=p, roots=roots, caret_bound=carets,
+        roots=roots, caret_bound=carets,
         class_of=class_of, classes=members,
-        canonical=[g[0] for g in members],
     )
 
 
@@ -147,19 +149,59 @@ def equivalent(p: SkeinPresentation, f: Forest, g: Forest,
     return table.class_id(f) == table.class_id(g)
 
 
-def class_leq(p: SkeinPresentation, f: Forest, g: Forest,
-              budget: OracleBudget | None = None):
-    """A forest h with compose(f, h) ~ g, or None.  Requires equal root counts."""
-    if len(f) != len(g):
-        return None
-    if forest_caret_count(f) > forest_caret_count(g):
-        return None
-    table = saturate(p, len(g), forest_caret_count(g), budget)
-    for member in table.members(g):
+def class_members(p: SkeinPresentation, f: Forest,
+                  budget: OracleBudget | None = None) -> list:
+    """The members of f's congruence class, canonical member first; may raise BudgetExceeded."""
+    return saturate(p, len(f), forest_caret_count(f), budget).members(f)
+
+
+def divide_class(f: Forest, members) -> Forest | None:
+    """A forest h with compose(f, h) among `members` (first in order), or None."""
+    for member in members:
         h = divide(f, member)
         if h is not None:
             return h
     return None
+
+
+def class_leq(p: SkeinPresentation, f: Forest, g: Forest,
+              budget: OracleBudget | None = None):
+    """A forest h with compose(f, h) ~ g, or None.  Requires equal root counts."""
+    if len(f) != len(g) or forest_caret_count(f) > forest_caret_count(g):
+        return None
+    return divide_class(f, class_members(p, g, budget))
+
+
+def descend(p: SkeinPresentation, start: tuple, key, prune,
+            budget: OracleBudget | None = None) -> tuple:
+    """The least state by `key` reachable from `start` by pruning and in-class rewriting.
+
+    A state is (trees, tag): rewriting replaces the trees by any combination
+    of their class members and keeps the tag; `prune(state)` yields the
+    caret-stripping moves.  Without relations, or over budget, only pruning
+    moves are taken and the result may miss representatives behind a rewrite.
+    """
+    seen = {start}
+    frontier = [start]
+    best = start
+    while frontier:
+        state = frontier.pop()
+        if key(state) < key(best):
+            best = state
+        trees, tag = state
+        variants = [state]
+        if p.relations:
+            try:
+                variants = [(combo, tag) for combo in itertools.product(
+                    *([m[0] for m in class_members(p, (t,), budget)] for t in trees))]
+            except BudgetExceeded:
+                pass
+        for variant in variants:
+            for nxt in (variant, *prune(variant)):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return best
 
 
 @dataclass(frozen=True)

@@ -127,44 +127,6 @@ def raw_points_equal(p: SkeinPresentation, a: tuple, b: tuple,
     return leaf_image(f, a[1]) == leaf_image(f2, b[1])
 
 
-def _shrink_point(p: SkeinPresentation, t: Tree, j: int,
-                  budget: OracleBudget) -> tuple:
-    """Descend by pruning and in-class rewriting; least pair reached."""
-    rank = p.colour_rank
-    seen = {(t, j)}
-    frontier = [(t, j)]
-    best = (t, j)
-
-    def key(pair):
-        return (caret_count(pair[0]), tree_key(pair[0], rank), pair[1])
-
-    while frontier:
-        cur_t, cur_j = frontier.pop()
-        if key((cur_t, cur_j)) < key(best):
-            best = (cur_t, cur_j)
-        variants = [cur_t]
-        if p.relations and caret_count(cur_t) <= budget.caret_cap:
-            try:
-                table = oracle.saturate(p, 1, caret_count(cur_t), budget)
-                variants = [m[0] for m in table.members((cur_t,))]
-            except oracle.BudgetExceeded:
-                pass
-        for v in variants:
-            pair = (v, cur_j)
-            if pair not in seen:
-                seen.add(pair)
-                frontier.append(pair)
-            for pos, _colour in prunable_carets(v):
-                if cur_j == pos + 1:
-                    continue          # the distinguished leaf is the right leaf
-                nj = cur_j if cur_j <= pos else cur_j - 1
-                reduced = (strip_caret(v, pos), nj)
-                if reduced not in seen:
-                    seen.add(reduced)
-                    frontier.append(reduced)
-    return best
-
-
 _EXACT_SCAN_CAP = 6
 
 
@@ -172,21 +134,32 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
                     oracle_budget: OracleBudget | None = None) -> OrderedPoint:
     """The least (carets, canonical word, leaf) representative of the class.
 
-    Pruning and in-class rewriting shrink the pair first.  On complemented
-    complete presentations the result is then made canonical by scanning
-    candidate trees in key order and taking the first pair that is
-    point-equal, which the reversing join decides exactly; elsewhere the
+    Pruning and in-class rewriting (`oracle.descend`) shrink the pair first.
+    On complemented complete presentations the result is then made canonical
+    by scanning candidate trees in key order and taking the first pair that
+    is point-equal, which the reversing join decides exactly; elsewhere the
     shrunken pair is returned (descents can miss representatives reachable
     only through a detour, so it is canonical only up to that caveat).
     """
     if not 1 <= j <= leaf_count(t):
         raise ValueError(f"leaf {j} out of range 1..{leaf_count(t)}")
-    budget = oracle_budget or OracleBudget()
-    best_t, best_j = _shrink_point(p, t, j, budget)
+    rank = p.colour_rank
+
+    def key(state):
+        (tree,), leaf = state
+        return (caret_count(tree), tree_key(tree, rank), leaf)
+
+    def prune(state):
+        (tree,), leaf = state
+        for pos, _colour in prunable_carets(tree):
+            if leaf == pos + 1:
+                continue          # the distinguished leaf is the right leaf
+            yield (strip_caret(tree, pos),), (leaf if leaf <= pos else leaf - 1)
+
+    (best_t,), best_j = oracle.descend(p, ((t,), j), key, prune, oracle_budget)
     k = caret_count(best_t)
     if k == 0 or not fractions.uses_reversing(p) or k > _EXACT_SCAN_CAP:
         return OrderedPoint(best_t, best_j, p)
-    rank = p.colour_rank
     for carets in range(k + 1):
         for cand in sorted(trees_with_carets(p.colours, carets),
                            key=lambda s: tree_key(s, rank)):
@@ -198,6 +171,23 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
                 if raw_points_equal(p, (cand, leaf), (best_t, best_j)) is True:
                     return OrderedPoint(cand, leaf, p)
     return OrderedPoint(best_t, best_j, p)
+
+
+def random_point(p: SkeinPresentation, rng, max_carets: int) -> OrderedPoint:
+    """The point of a random tree with 1..max_carets carets at a random leaf."""
+    t = random_tree(rng, p.colours, rng.randrange(1, max_carets + 1))
+    return normalize_point(p, t, rng.randrange(1, leaf_count(t) + 1))
+
+
+def random_point_set(p: SkeinPresentation, rng, k: int, max_carets: int = 4) -> list:
+    """k random points, each kept only when it is provably distinct from the others."""
+    pts = []
+    while len(pts) < k:
+        x = random_point(p, rng, max_carets)
+        if all(raw_points_equal(p, (x.tree, x.leaf), (y.tree, y.leaf)) is False
+               for y in pts):
+            pts.append(x)
+    return pts
 
 
 def grow_point(p: SkeinPresentation, x: OrderedPoint, f: Forest) -> tuple:
@@ -339,14 +329,6 @@ class FlavourReport:
         return []
 
 
-def _sample_points(p: SkeinPresentation, rng, count: int, carets: int = 3) -> list:
-    out = []
-    for _ in range(count):
-        t = random_tree(rng, p.colours, rng.randrange(1, carets + 1))
-        out.append(normalize_point(p, t, rng.randrange(1, leaf_count(t) + 1)))
-    return out
-
-
 def flavour_check(g: PermutationElement, rng, sample_bound: int = 20,
                   bound: int | None = None) -> FlavourReport:
     """Exact flavour from the permutation, plus sampled chain evidence.
@@ -362,7 +344,7 @@ def flavour_check(g: PermutationElement, rng, sample_bound: int = 20,
     unresolved = 0
     samples = 0
     for _ in range(sample_bound):
-        pts = _sample_points(g.presentation, rng, 3)
+        pts = [random_point(g.presentation, rng, 3) for _ in range(3)]
         try:
             pts.sort(key=_chain_key(pts, bound))
             images = [act(g, x, bound) for x in pts]

@@ -82,8 +82,8 @@ def iterate_tree(t: Tree, depth: int) -> Tree:
 def _monochromatic_candidate(p: SkeinPresentation, budget, oracle_budget):
     """A tree whose class contains an all-c representative for each colour c.
 
-    Built as the iterated join of the colour carets; checked against the
-    saturated stratum, which also yields the per-colour representatives.
+    Built as the iterated join of the colour carets; checked against its
+    congruence class, which also yields the per-colour representatives.
     """
     word = ((p.colours[0], 1),)
     for c in p.colours[1:]:
@@ -92,11 +92,11 @@ def _monochromatic_candidate(p: SkeinPresentation, budget, oracle_budget):
             return None, {}
     t = forest_from_word(word, 1)[0]
     try:
-        table = oracle.saturate(p, 1, caret_count(t), oracle_budget)
+        members = oracle.class_members(p, (t,), oracle_budget)
     except oracle.BudgetExceeded:
         return t, {}
     mono = {}
-    for member in table.members((t,)):
+    for member in members:
         cols = tree_colours(member[0])
         if len(cols) == 1:
             mono.setdefault(next(iter(cols)), member[0])

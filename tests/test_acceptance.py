@@ -29,7 +29,6 @@ from forestskein.forest import (
     leaf_count,
     parse_word,
     random_forest,
-    random_tree,
     root_count,
     tensor,
     tree_from_word,
@@ -251,21 +250,6 @@ def test_criterion_8_classical_order_oracle():
               f"normalized points with <= 6 carets ({checked} comparisons, 0 violations)")
 
 
-def _random_point(p, rng, max_carets=4):
-    t = random_tree(rng, p.colours, rng.randrange(1, max_carets + 1))
-    return oa.normalize_point(p, t, rng.randrange(1, leaf_count(t) + 1))
-
-
-def _random_point_set(p, rng, k):
-    pts = []
-    while len(pts) < k:
-        x = _random_point(p, rng)
-        if all(oa.raw_points_equal(p, (x.tree, x.leaf), (y.tree, y.leaf)) is False
-               for y in pts):
-            pts.append(x)
-    return pts
-
-
 def test_criterion_9_qspace_properties():
     p = corpus.load("cleary")
     rng = random.Random(9)
@@ -273,7 +257,7 @@ def test_criterion_9_qspace_properties():
 
     # trichotomy and transitivity on random triples
     for _ in range(1000):
-        x, y, z = (_random_point(p, rng) for _ in range(3))
+        x, y, z = (oa.random_point(p, rng, 4) for _ in range(3))
         cxy, cyz, cxz = (oa.compare(a, b, 14) for a, b in ((x, y), (y, z), (x, z)))
         if None in (cxy, cyz, cxz):
             unresolved += 1
@@ -292,7 +276,7 @@ def test_criterion_9_qspace_properties():
         t = rng.choice(trees)
         s = rng.choice([u for u in trees if leaf_count(u) == leaf_count(t)])
         g = oa.from_fraction(fr.GroupElement(t, s, p))
-        x, y = _random_point(p, rng), _random_point(p, rng)
+        x, y = oa.random_point(p, rng, 4), oa.random_point(p, rng, 4)
         try:
             before = oa.compare(x, y, 14)
             after = oa.compare(oa.act(g, x, 14), oa.act(g, y, 14), 14)
@@ -306,8 +290,8 @@ def test_criterion_9_qspace_properties():
     # transitivity witnesses, verified by the action
     for _ in range(20):
         k = rng.choice([1, 2, 3])
-        A = _random_point_set(p, rng, k)
-        B = _random_point_set(p, rng, k)
+        A = oa.random_point_set(p, rng, k)
+        B = oa.random_point_set(p, rng, k)
         g = oa.transitivity_witness(A, B, 14)
         if g is None:
             unresolved += 1

@@ -14,6 +14,7 @@ from forestskein.forest import (
     elementary,
     find_occurrences,
     forest_caret_count,
+    forest_count,
     forest_leaf_count,
     forests_with_carets,
     leaf_count,
@@ -187,6 +188,14 @@ def small_forests(max_roots=3, max_carets=3):
         for k in range(max_carets + 1):
             out.extend(forests_with_carets(COLOURS, roots, k))
     return out
+
+
+def test_forest_count_matches_enumeration():
+    for colours in (("a",), ("a", "b"), ("a", "b", "c")):
+        for roots in (1, 2, 3):
+            for k in range(5):
+                assert forest_count(colours, roots, k) == \
+                    len(list(forests_with_carets(colours, roots, k)))
 
 
 def test_associativity_exhaustive_small():

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from forestskein import fractions as fr, oracle
+from forestskein.config import OracleBudget
 from forestskein.forest import (
     caret,
     caret_count,
     compose,
     leaf_count,
+    parse_tree,
     parse_word,
     random_tree,
     tree_from_word,
@@ -103,6 +105,27 @@ def test_normal_form_idempotent_random(cleary, rng):
         s = random_tree(rng, cleary.colours, caret_count(t))
         nf = fr.normal_form(elem(cleary, t, s))
         assert fr.normal_form(nf) == nf
+
+
+def test_normal_form_over_budget_fallback(cleary, monkeypatch):
+    # Above 4 carets the cleary stratum exceeds 300 forests, so classes are
+    # read only once stripping gets there; the first result is therefore not
+    # the unbudgeted [a(I,b(b(a(I,I),I),I)) ; a(I,a(b(I,I),b(I,I)))].
+    monkeypatch.setattr(oracle, "_tables", {})
+    budget = OracleBudget(class_cap=300)
+    cases = [
+        ("a(a(I,b(I,I)),b(b(a(I,I),I),I))", "b(I,b(b(I,I),a(b(I,I),b(I,I))))",
+         "a(a(I,I),b(b(a(I,I),I),I))", "b(I,b(I,a(b(I,I),b(I,I))))"),
+        ("b(I,a(a(I,b(I,a(I,I))),a(I,I)))", "a(I,a(b(I,a(a(I,a(I,I)),I)),I))",
+         "b(I,a(a(I,b(I,I)),a(I,I)))", "a(I,a(b(I,a(a(I,I),I)),I))"),
+        ("a(a(a(I,I),a(I,a(I,I))),b(I,I))", "b(a(I,I),a(a(I,a(I,I)),b(I,I)))",
+         "a(a(I,I),I)", "b(I,a(I,I))"),
+    ]
+    for t, s, nt, ns in cases:
+        g = elem(cleary, parse_tree(t), parse_tree(s))
+        nf = fr.normal_form(g, oracle_budget=budget)
+        assert nf == elem(cleary, parse_tree(nt), parse_tree(ns))
+        assert fr.equals(nf, g) is True
 
 
 def test_word_to_element_examples(cleary):

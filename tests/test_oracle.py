@@ -60,6 +60,20 @@ def test_class_leq(cleary, free2):
     assert oracle.class_leq(free2, (caret("a"),), (tw("b1 b2"),)) is None
 
 
+def test_class_members(cleary, monkeypatch):
+    table = oracle.saturate(cleary, 1, 3)
+    for cls in table.classes:
+        for f in cls:
+            assert oracle.class_members(cleary, f) == cls
+    assert oracle.class_members(cleary, (tw("b1 b2"),)) == [(tw("a1 a1"),), (tw("b1 b2"),)]
+    five = (tw("a1 a1 a1 a1 a1"),)
+    with pytest.raises(oracle.BudgetExceeded):
+        oracle.class_members(cleary, five, oracle.OracleBudget(caret_cap=4))
+    monkeypatch.setattr(oracle, "_tables", {})
+    with pytest.raises(oracle.BudgetExceeded):
+        oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
+
+
 def test_refute_left_cancellative(cleary, notlc, free2):
     ce = oracle.refute_left_cancellative(notlc, 3)
     assert ce is not None
@@ -101,7 +115,7 @@ def test_saturation_idempotent(cleary):
     t1 = oracle._build(cleary, 1, 3, oracle.OracleBudget())
     t2 = oracle._build(cleary, 1, 3, oracle.OracleBudget())
     assert t1.class_of == t2.class_of
-    assert t1.canonical == t2.canonical
+    assert t1.classes == t2.classes
 
 
 def test_classes_respect_rewrites(cleary, rng):
@@ -140,6 +154,21 @@ def test_budget_cap():
     p = parse("colors: a, b\n")
     with pytest.raises(oracle.BudgetExceeded):
         oracle.saturate(p, 1, 13)
+
+
+def test_over_budget_stratum_is_refused_before_enumeration(cleary, monkeypatch):
+    # cleary has 2,920,403 forests with <= 9 carets, above the default cap
+    requests = []
+    real = oracle.forests_with_carets
+
+    def recording(colours, roots, k):
+        requests.append(k)
+        return real(colours, roots, k)
+
+    monkeypatch.setattr(oracle, "forests_with_carets", recording)
+    with pytest.raises(oracle.BudgetExceeded, match=r"<= 9 carets\) exceeds 1000000 forests"):
+        oracle.saturate(cleary, 1, 9)
+    assert requests == []
 
 
 def test_concurrent_saturation(cleary):

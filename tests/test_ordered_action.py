@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from forestskein import fractions as fr, ordered_action as oa
+from forestskein import fractions as fr, oracle, ordered_action as oa
+from forestskein.config import OracleBudget
 from forestskein.forest import (
     LEAF,
     caret,
     leaf_count,
+    parse_tree,
     parse_word,
     random_forest,
     random_tree,
@@ -69,6 +71,23 @@ def test_normalize_class_invariance(cleary):
                    for i in range(leaf_count(x.tree)))
     grown_t, grown_j = oa.grow_point(cleary, x, growth)
     assert oa.normalize_point(cleary, grown_t, grown_j) == x
+
+
+def test_normalize_over_budget_fallback(cleary, monkeypatch):
+    # Above 4 carets the cleary stratum exceeds 300 forests, so the descent
+    # strips carets before it can read a class; the exact scan then finishes.
+    monkeypatch.setattr(oracle, "_tables", {})
+    budget = OracleBudget(class_cap=300)
+    cases = [
+        ("a(a(I,I),b(a(I,I),b(I,I)))", 5, "a(I,b(I,I))", 3),
+        ("b(I,a(I,b(a(I,I),a(I,b(I,I)))))", 6, "a(I,a(I,a(I,I)))", 4),
+        ("a(a(b(I,I),a(a(I,I),a(I,I))),I)", 3, "b(I,I)", 2),
+        ("b(b(I,I),b(a(b(I,I),a(I,I)),I))", 1, "I", 1),
+    ]
+    for t, j, nt, nj in cases:
+        x = oa.normalize_point(cleary, parse_tree(t), j, budget)
+        assert x == oa.OrderedPoint(parse_tree(nt), nj, cleary)
+        assert oa.raw_points_equal(cleary, (x.tree, x.leaf), (parse_tree(t), j)) is True
 
 
 def test_grow_then_normalize_round_trip(cleary, rng):
@@ -247,17 +266,6 @@ def test_order_equivariance_f_flavour(cleary, rng):
 # ---------------------------------------------------------------------------
 # Transitivity and stabilizers
 
-def rand_point_set(p, rng, k):
-    pts = []
-    while len(pts) < k:
-        t = random_tree(rng, p.colours, rng.randrange(1, 5))
-        x = oa.normalize_point(p, t, rng.randrange(1, leaf_count(t) + 1))
-        if all(oa.raw_points_equal(p, (x.tree, x.leaf), (y.tree, y.leaf)) is False
-               for y in pts):
-            pts.append(x)
-    return pts
-
-
 def test_transitivity_identity_case(free1):
     A = [oa.normalize_point(free1, caret("a"), 1)]
     g = oa.transitivity_witness(A, A)
@@ -277,8 +285,8 @@ def test_transitivity_k1_free(free1):
 def test_transitivity_cleary_sets(cleary, rng):
     for k in (1, 2, 3):
         for _ in range(4):
-            A = rand_point_set(cleary, rng, k)
-            B = rand_point_set(cleary, rng, k)
+            A = oa.random_point_set(cleary, rng, k)
+            B = oa.random_point_set(cleary, rng, k)
             g = oa.transitivity_witness(A, B)
             assert g is not None
             assert {oa.act(g, x) for x in A} == set(B)
@@ -299,7 +307,7 @@ def test_stabilizer(free1, rng):
 
 
 def test_order_laws_sampled(cleary, rng):
-    pts = [rand_point_set(cleary, rng, 1)[0] for _ in range(12)]
+    pts = [oa.random_point_set(cleary, rng, 1)[0] for _ in range(12)]
     for x, y, z in itertools.combinations(pts, 3):
         cxy, cyz, cxz = oa.compare(x, y), oa.compare(y, z), oa.compare(x, z)
         assert None not in (cxy, cyz, cxz)

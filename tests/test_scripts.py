@@ -1,0 +1,28 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("presentation", ["free1", "cleary"])
+def test_qspace_experiments_smoke(presentation, monkeypatch, capsys):
+    qx = load_script("qspace_experiments")
+    monkeypatch.setattr(sys, "argv", ["qspace_experiments.py", presentation, "--samples", "3"])
+    qx.main()
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [d["experiment"] for d in docs] == list(qx.EXPERIMENTS)
+    for d in docs:
+        assert set(d) == {"experiment", "presentation", "samples", "violations",
+                          "unresolved", "bounds"}
+        assert (d["presentation"], d["samples"], d["violations"]) == (presentation, 3, 0)
