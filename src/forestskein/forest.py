@@ -20,6 +20,7 @@ codec round-trips exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Iterable, Iterator, Optional
@@ -435,23 +436,19 @@ def forest_key(f: Forest, colour_rank: dict) -> tuple:
     return (forest_caret_count(f), len(f), tuple(tree_key(t, colour_rank) for t in f))
 
 
-def trees_with_carets(colours, k: int, _cache={}) -> list:
+@functools.cache
+def trees_with_carets(colours: tuple, k: int) -> list:
     """All coloured trees with exactly k carets (shared across calls)."""
-    key = (tuple(colours), k)
-    if key in _cache:
-        return _cache[key]
     if k == 0:
-        out = [LEAF]
-    else:
-        out = []
-        for i in range(k):
-            lefts = trees_with_carets(colours, i)
-            rights = trees_with_carets(colours, k - 1 - i)
-            for c in colours:
-                for l in lefts:
-                    for r in rights:
-                        out.append((c, l, r))
-    _cache[key] = out
+        return [LEAF]
+    out = []
+    for i in range(k):
+        lefts = trees_with_carets(colours, i)
+        rights = trees_with_carets(colours, k - 1 - i)
+        for c in colours:
+            for l in lefts:
+                for r in rights:
+                    out.append((c, l, r))
     return out
 
 

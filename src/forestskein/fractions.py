@@ -16,9 +16,10 @@ Witness searches are semidecidable, so a bound exhaustion surfaces as the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .config import OracleBudget, ReversingBudget, SearchBounds
+from .config import OracleBudget, SearchBounds
 from .forest import (
     LEAF,
     Tree,
@@ -33,7 +34,7 @@ from .forest import (
     tree_key,
     word_from_tree,
 )
-from .presentation import SkeinPresentation
+from .presentation import SkeinPresentation, is_complemented
 from . import oracle, reversing
 
 
@@ -67,27 +68,19 @@ def invert(g: GroupElement) -> GroupElement:
     return GroupElement(g.denominator, g.numerator, g.presentation)
 
 
-_fast_path: dict = {}
-
-
+@functools.cache
 def uses_reversing(p: SkeinPresentation) -> bool:
     """Complemented + complete presentations get the reversing fast path."""
-    cached = _fast_path.get(p)
-    if cached is None:
-        from .presentation import is_complemented
-        cached = is_complemented(p) and reversing.is_complete(p).verdict == "complete"
-        _fast_path[p] = cached
-    return cached
+    return is_complemented(p) and reversing.is_complete(p).verdict == "complete"
 
 
-def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree, bound: int,
-                     rev_budget: ReversingBudget | None = None) -> bool:
+def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree, bound: int) -> bool:
     if leaf_count(t) != leaf_count(s):
         return False
     if t == s:
         return True
     if uses_reversing(p):
-        ans = reversing.words_equal(p, word_from_tree(t), word_from_tree(s), rev_budget)
+        ans = reversing.words_equal(p, word_from_tree(t), word_from_tree(s))
         if ans == "unknown":
             raise Unresolved("tree equivalence check exceeded the reversing budget")
         return ans == "yes"
@@ -96,15 +89,13 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree, bound: int,
     return oracle.equivalent(p, (t,), (s,))
 
 
-def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree, bound: int,
-                            rev_budget: ReversingBudget | None = None) -> tuple:
+def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree, bound: int) -> tuple:
     """Forests (f, f') with t . f ~ s . f', or raise Unresolved."""
     if uses_reversing(p):
         out = reversing.reverse(
             p,
             reversing.inverse_word(reversing.positive_word(word_from_tree(t)))
             + reversing.positive_word(word_from_tree(s)),
-            rev_budget,
         )
         if out.terminated:
             f = forest_from_word(out.result[0], leaf_count(t))
@@ -178,6 +169,7 @@ def normal_form(g: GroupElement, bound: int | None = None,
     The least (carets, numerator word, denominator word) pair found by
     `oracle.descend`.  Strata too large to saturate fall back to structural
     stripping only, in which case the result may not be globally minimal.
+    `bound` is not read; it is kept so that positional calls keep working.
     """
     p = g.presentation
     rank = p.colour_rank

@@ -98,20 +98,26 @@ def saturate(p: SkeinPresentation, roots: int, carets: int,
     with _tables_lock:
         cached = _tables.get(key)
         if cached is not None:
+            _check_size(len(cached.class_of), roots, carets, budget)
             return cached
         table = _build(p, roots, carets, budget)
         _tables[key] = table
         return table
 
 
+def _check_size(size: int, roots: int, carets: int, budget: OracleBudget) -> None:
+    if size > budget.class_cap:
+        raise BudgetExceeded(
+            f"stratum ({roots} roots, <= {carets} carets) exceeds "
+            f"{budget.class_cap} forests")
+
+
 def _build(p: SkeinPresentation, roots: int, carets: int,
            budget: OracleBudget) -> CongruenceTable:
     # The size is known in closed form, so an over-budget stratum is
     # refused before any of it is enumerated.
-    if sum(forest_count(p.colours, roots, k) for k in range(carets + 1)) > budget.class_cap:
-        raise BudgetExceeded(
-            f"stratum ({roots} roots, <= {carets} carets) exceeds "
-            f"{budget.class_cap} forests")
+    _check_size(sum(forest_count(p.colours, roots, k) for k in range(carets + 1)),
+                roots, carets, budget)
     all_forests = [f for k in range(carets + 1)
                    for f in forests_with_carets(p.colours, roots, k)]
     index = {f: i for i, f in enumerate(all_forests)}
@@ -139,13 +145,12 @@ def _build(p: SkeinPresentation, roots: int, carets: int,
     )
 
 
-def equivalent(p: SkeinPresentation, f: Forest, g: Forest,
-               budget: OracleBudget | None = None) -> bool:
+def equivalent(p: SkeinPresentation, f: Forest, g: Forest) -> bool:
     if len(f) != len(g) or forest_leaf_count(f) != forest_leaf_count(g):
         return False
     if f == g:
         return True
-    table = saturate(p, len(f), forest_caret_count(f), budget)
+    table = saturate(p, len(f), forest_caret_count(f))
     return table.class_id(f) == table.class_id(g)
 
 
@@ -164,12 +169,11 @@ def divide_class(f: Forest, members) -> Forest | None:
     return None
 
 
-def class_leq(p: SkeinPresentation, f: Forest, g: Forest,
-              budget: OracleBudget | None = None):
+def class_leq(p: SkeinPresentation, f: Forest, g: Forest):
     """A forest h with compose(f, h) ~ g, or None.  Requires equal root counts."""
     if len(f) != len(g) or forest_caret_count(f) > forest_caret_count(g):
         return None
-    return divide_class(f, class_members(p, g, budget))
+    return divide_class(f, class_members(p, g))
 
 
 def descend(p: SkeinPresentation, start: tuple, key, prune,
@@ -218,8 +222,7 @@ class LcCounterexample:
         }
 
 
-def refute_left_cancellative(p: SkeinPresentation, caret_bound: int,
-                             budget: OracleBudget | None = None):
+def refute_left_cancellative(p: SkeinPresentation, caret_bound: int):
     """Search for Y_c . g ~ Y_c . h with g !~ h; None means none at this bound.
 
     Left multiplication by single carets suffices: a category is
@@ -227,8 +230,8 @@ def refute_left_cancellative(p: SkeinPresentation, caret_bound: int,
     """
     for k in range(2, caret_bound + 1):
         try:
-            two_root = saturate(p, 2, k - 1, budget)
-            one_root = saturate(p, 1, k, budget)
+            two_root = saturate(p, 2, k - 1)
+            one_root = saturate(p, 1, k)
         except BudgetExceeded:
             return None
         for c in p.colours:
@@ -267,8 +270,7 @@ class OreReport:
         }
 
 
-def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int,
-                      budget: OracleBudget | None = None) -> OreReport:
+def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int) -> OreReport:
     """Look for a common upper bound for every pair of small trees.
 
     One pass over the big stratum records, for each small representative,
@@ -276,8 +278,8 @@ def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int,
     """
     if pair_bound > search_bound:
         raise ValueError("pair_bound must be <= search_bound")
-    small = saturate(p, 1, pair_bound, budget)
-    big = saturate(p, 1, search_bound, budget)
+    small = saturate(p, 1, pair_bound)
+    big = saturate(p, 1, search_bound)
     reps = [cls[0] for cls in small.classes if cls[0][0] is not None]
     above: list = [set() for _ in reps]
     for cid, members in enumerate(big.classes):
@@ -295,28 +297,27 @@ def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int,
     return OreReport(pair_bound, search_bound, failures, checked)
 
 
-def mcm_bounded(p: SkeinPresentation, x: Tree, y: Tree, bound: int,
-                budget: OracleBudget | None = None) -> list:
+def mcm_bounded(p: SkeinPresentation, x: Tree, y: Tree, bound: int) -> list:
     """Minimal common upper-bound classes of two trees, within the caret bound.
 
     Returns canonical representatives, pairwise incomparable.  Minimality is
     absolute for anything at or below the bound; multiples beyond it are
     invisible.
     """
-    if equivalent(p, (x,), (y,), budget):
+    if equivalent(p, (x,), (y,)):
         raise ValueError("mcm is defined for distinct classes")
-    table = saturate(p, 1, bound, budget)
+    table = saturate(p, 1, bound)
     commons = []
     for cls in table.classes:
         z = cls[0]
         if caret_count(z[0]) < max(caret_count(x), caret_count(y)):
             continue
-        if class_leq(p, (x,), z, budget) is not None and \
-           class_leq(p, (y,), z, budget) is not None:
+        if class_leq(p, (x,), z) is not None and \
+           class_leq(p, (y,), z) is not None:
             commons.append(z)
     minimal = []
     for z in commons:
-        if any(w != z and class_leq(p, w, z, budget) is not None for w in commons):
+        if any(w != z and class_leq(p, w, z) is not None for w in commons):
             continue
         minimal.append(z)
     return minimal

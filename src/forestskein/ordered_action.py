@@ -17,6 +17,7 @@ permutation parts as functions, making `act` a left action.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -369,8 +370,6 @@ class _UnresolvedChain(RuntimeError):
 
 
 def _chain_key(pts, bound):
-    import functools
-
     def cmp(a, b):
         c = compare(a, b, bound)
         if c is None:
@@ -381,19 +380,21 @@ def _chain_key(pts, bound):
 
 
 def _chain_order(images, bound):
-    """Rank order of the image points; None when a comparison is unresolved."""
-    idx = list(range(len(images)))
+    """Rank order of the image points; None when a comparison is unresolved.
+
+    Each pair is compared once; the order is antisymmetric, so the reverse
+    comparison is the negated one.
+    """
+    sign = {"LT": -1, "EQ": 0, "GT": 1}
+    table = {}
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            if compare(images[i], images[j], bound) is None:
+            c = compare(images[i], images[j], bound)
+            if c is None:
                 return None
-    import functools
-
-    def cmp(a, b):
-        c = compare(images[a], images[b], bound)
-        return {"LT": -1, "EQ": 0, "GT": 1}[c]
-
-    return [idx.index(k) for k in sorted(idx, key=functools.cmp_to_key(cmp))]
+            table[i, j], table[j, i] = sign[c], -sign[c]
+    return sorted(range(len(images)), key=functools.cmp_to_key(
+        lambda a, b: table.get((a, b), 0)))
 
 
 def _is_cyclic_shift(order) -> bool:

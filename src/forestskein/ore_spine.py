@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import OracleBudget, ReversingBudget, SearchBounds, SpineBounds
+from .config import ReversingBudget, SearchBounds, SpineBounds
 from .forest import (
     Tree,
     caret,
@@ -58,13 +58,12 @@ class OreSearch:
     bounds: dict = field(default_factory=dict)
 
 
-def _join_word(p, u, v, budget):
+def _join_word(p, u, v):
     """Word of a common multiple u(u\\v) of positive words u, v, or None."""
     out = reversing.reverse(
         p,
         reversing.inverse_word(reversing.positive_word(u))
         + reversing.positive_word(v),
-        budget,
     )
     if out.terminated:
         return tuple(u) + out.result[0]
@@ -79,7 +78,7 @@ def iterate_tree(t: Tree, depth: int) -> Tree:
     return out
 
 
-def _monochromatic_candidate(p: SkeinPresentation, budget, oracle_budget):
+def _monochromatic_candidate(p: SkeinPresentation):
     """A tree whose class contains an all-c representative for each colour c.
 
     Built as the iterated join of the colour carets; checked against its
@@ -87,12 +86,12 @@ def _monochromatic_candidate(p: SkeinPresentation, budget, oracle_budget):
     """
     word = ((p.colours[0], 1),)
     for c in p.colours[1:]:
-        word = _join_word(p, word, ((c, 1),), budget)
+        word = _join_word(p, word, ((c, 1),))
         if word is None:
             return None, {}
     t = forest_from_word(word, 1)[0]
     try:
-        members = oracle.class_members(p, (t,), oracle_budget)
+        members = oracle.class_members(p, (t,))
     except oracle.BudgetExceeded:
         return t, {}
     mono = {}
@@ -103,33 +102,26 @@ def _monochromatic_candidate(p: SkeinPresentation, budget, oracle_budget):
     return t, mono
 
 
-def cofinal_search(p: SkeinPresentation,
-                   bound: int | None = None,
-                   iterate_depth: int | None = None,
-                   budget: ReversingBudget | None = None,
-                   oracle_budget: OracleBudget | None = None) -> OreSearch:
+def cofinal_search(p: SkeinPresentation, bound: int | None = None) -> OreSearch:
     defaults = SearchBounds()
     bound = bound or defaults.absorption_bound
-    iterate_depth = iterate_depth or defaults.iterate_depth
-    budget = budget or ReversingBudget()
-    bounds = {"absorption_bound": bound, "iterate_depth": iterate_depth}
+    bounds = {"absorption_bound": bound, "iterate_depth": defaults.iterate_depth}
 
-    closed = reversing.ore_via_closed_family(p, budget)
+    closed = reversing.ore_via_closed_family(p)
     if closed.verdict == "yes":
         return OreSearch("proved",
                          OreCertificate("closed_family", "proved",
                                         closed.detail | {"criterion": closed.criterion}),
                          bounds=bounds)
 
-    if reversing.is_complete(p, budget).verdict == "complete":
-        t, mono = _monochromatic_candidate(p, budget, oracle_budget)
+    if reversing.is_complete(p).verdict == "complete":
+        t, mono = _monochromatic_candidate(p)
         if t is not None:
             # t is a common multiple of every colour caret by construction;
             # a monochromatic representative of its class in every colour is
             # what makes the iterated-attachment sequence cofinal, so those
             # two exact facts prove Ore and the absorption run replays it
-            absorbed, tested = _absorption_check(p, t, bound, iterate_depth,
-                                                 budget, oracle_budget)
+            absorbed, tested = _absorption_check(p, t, bound, defaults.iterate_depth)
             data = {
                 "base_tree": render_tree(t),
                 "monochromatic_representatives":
@@ -148,8 +140,7 @@ def cofinal_search(p: SkeinPresentation,
 
     pair_bound = min(defaults.ore_pair_bound, bound)
     try:
-        report = oracle.check_ore_bounded(p, pair_bound, defaults.ore_search_bound,
-                                          oracle_budget)
+        report = oracle.check_ore_bounded(p, pair_bound, defaults.ore_search_bound)
     except oracle.BudgetExceeded:
         return OreSearch("unknown", None, bounds=bounds)
     bounds |= {"pair_bound": report.pair_bound, "search_bound": report.search_bound}
@@ -164,16 +155,17 @@ def cofinal_search(p: SkeinPresentation,
                      failures=[], bounds=bounds)
 
 
-def _absorption_check(p, t, bound, depth, budget, oracle_budget):
+def _absorption_check(p, t, bound, depth):
     """Every class representative with <= bound carets divides some iterate of t."""
     iterates = [word_from_tree(iterate_tree(t, d)) for d in range(1, depth + 1)]
     # iterate words carry large indices, so widen the reversing ceiling
     top = max(i for w in iterates for _, i in w)
-    wide = ReversingBudget(steps=max(budget.steps, 50 * len(iterates[-1])),
-                           index_ceiling=max(budget.index_ceiling, 2 * top + 8),
-                           branch_cap=budget.branch_cap)
+    base = ReversingBudget()
+    wide = ReversingBudget(steps=max(base.steps, 50 * len(iterates[-1])),
+                           index_ceiling=max(base.index_ceiling, 2 * top + 8),
+                           branch_cap=base.branch_cap)
     try:
-        table = oracle.saturate(p, 1, bound, oracle_budget)
+        table = oracle.saturate(p, 1, bound)
         reps = [cls[0][0] for cls in table.classes]
     except oracle.BudgetExceeded:
         reps = list(caret(c) for c in p.colours)
@@ -214,8 +206,7 @@ class SpineReport:
         return len(self.classes)
 
 
-def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int,
-               budget, oracle_budget) -> list:
+def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int) -> list:
     """Minimal common multiples of two tree classes, as tree representatives."""
     wx, wy = word_from_tree(x), word_from_tree(y)
     # every terminal of the reversal is a common multiple (exactly one on a
@@ -224,15 +215,14 @@ def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int,
         p,
         reversing.inverse_word(reversing.positive_word(wx))
         + reversing.positive_word(wy),
-        budget,
     )
     candidates = []
     for left, _ in out.terminals:
         w = tuple(wx) + left
         if len(w) <= caret_bound:
             z = forest_from_word(w, 1)[0]
-            if not any(reversing.words_equal(p, word_from_tree(z), word_from_tree(c),
-                                             budget) == "yes" for c in candidates):
+            if not any(reversing.words_equal(p, word_from_tree(z), word_from_tree(c)) == "yes"
+                       for c in candidates):
                 candidates.append(z)
     minimal = []
     for z in candidates:
@@ -242,7 +232,7 @@ def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int,
             if other is z:
                 continue
             wo = word_from_tree(other)
-            if len(wo) < len(wz) and reversing.left_divides(p, wo, wz, budget) == "yes":
+            if len(wo) < len(wz) and reversing.left_divides(p, wo, wz) == "yes":
                 dominated = True
                 break
         if not dominated:
@@ -250,12 +240,11 @@ def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int,
     return minimal
 
 
-def _dedupe(p, trees, budget) -> list:
+def _dedupe(p, trees) -> list:
     out: list = []
     for t in trees:
         if not any(leaf_count(t) == leaf_count(u)
-                   and reversing.words_equal(p, word_from_tree(t), word_from_tree(u),
-                                             budget) == "yes"
+                   and reversing.words_equal(p, word_from_tree(t), word_from_tree(u)) == "yes"
                    for u in out):
             out.append(t)
     rank = p.colour_rank
@@ -263,31 +252,28 @@ def _dedupe(p, trees, budget) -> list:
     return out
 
 
-def _same_stage(p, a, b, budget) -> bool:
+def _same_stage(p, a, b) -> bool:
     if len(a) != len(b):
         return False
     if sorted(map(caret_count, a)) != sorted(map(caret_count, b)):
         return False
-    return all(any(reversing.words_equal(p, word_from_tree(x), word_from_tree(y),
-                                         budget) == "yes" for y in b) for x in a)
+    return all(any(reversing.words_equal(p, word_from_tree(x), word_from_tree(y)) == "yes"
+                   for y in b) for x in a)
 
 
 def spine(p: SkeinPresentation,
           caret_bound: int | None = None,
-          stage_bound: int | None = None,
-          budget: ReversingBudget | None = None,
-          oracle_budget: OracleBudget | None = None) -> SpineReport:
+          stage_bound: int | None = None) -> SpineReport:
     defaults = SpineBounds()
     caret_bound = caret_bound or defaults.caret_bound
     stage_bound = stage_bound or defaults.stage_bound
-    budget = budget or ReversingBudget()
 
-    lc = reversing.decide_left_cancellative(p, budget)
+    lc = reversing.decide_left_cancellative(p)
     warning = None if lc.verdict == "yes" else \
         f"left-cancellativity is {lc.verdict}; spine classes may be unreliable"
     strategy = "exact" if fractions.uses_reversing(p) else "reversing-evidence"
 
-    stage = _dedupe(p, [caret(c) for c in p.colours], budget)
+    stage = _dedupe(p, [caret(c) for c in p.colours])
     stages = [stage]
     stabilized = False
     bound_hit = False
@@ -296,12 +282,12 @@ def spine(p: SkeinPresentation,
         cur = stages[-1]
         for i, x in enumerate(cur):
             for y in cur[i + 1:]:
-                nxt.extend(_mcm_trees(p, x, y, caret_bound, budget, oracle_budget))
-        nxt = _dedupe(p, nxt, budget)
+                nxt.extend(_mcm_trees(p, x, y, caret_bound))
+        nxt = _dedupe(p, nxt)
         if not nxt:
             stabilized = True
             break
-        if any(_same_stage(p, nxt, old, budget) for old in stages):
+        if any(_same_stage(p, nxt, old) for old in stages):
             stabilized = True
             break
         if max(caret_count(t) for t in nxt) >= caret_bound:
@@ -314,12 +300,8 @@ def spine(p: SkeinPresentation,
     return report
 
 
-def spine_classes_deduped(p: SkeinPresentation, report: SpineReport,
-                          budget: ReversingBudget | None = None) -> list:
-    all_trees: list = []
-    for stage in report.stages:
-        all_trees.extend(stage)
-    return _dedupe(p, all_trees, budget or ReversingBudget())
+def spine_classes_deduped(p: SkeinPresentation, report: SpineReport) -> list:
+    return _dedupe(p, report.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +341,22 @@ class FInfinityCertificate:
 
 def f_infinity_certificate(p: SkeinPresentation,
                            spine_report: SpineReport | None = None,
-                           ore: OreSearch | None = None,
-                           budget: ReversingBudget | None = None,
-                           oracle_budget: OracleBudget | None = None):
+                           ore: OreSearch | None = None):
     """Certificate that the fraction groups are of type F-infinity, or None.
 
     Needs left-cancellativity, an Ore certificate stronger than bounded
     evidence, and a stabilized finite spine.
     """
-    budget = budget or ReversingBudget()
-    lc = reversing.decide_left_cancellative(p, budget)
+    lc = reversing.decide_left_cancellative(p)
     if lc.verdict != "yes":
         return None
-    ore = ore or cofinal_search(p, budget=budget, oracle_budget=oracle_budget)
+    ore = ore or cofinal_search(p)
     if ore.verdict != "proved" or ore.certificate is None:
         return None
-    spine_report = spine_report or spine(p, budget=budget, oracle_budget=oracle_budget)
+    spine_report = spine_report or spine(p)
     if not spine_report.stabilized:
         return None
-    classes = spine_classes_deduped(p, spine_report, budget)
+    classes = spine_classes_deduped(p, spine_report)
     return FInfinityCertificate(
         spine_size=len(classes),
         spine_classes=classes,
@@ -404,9 +383,7 @@ class FTauResult:
     f_infinity: FInfinityCertificate | None
 
 
-def build_f_tau(tau: dict, name: str = "",
-                budget: ReversingBudget | None = None,
-                oracle_budget: OracleBudget | None = None) -> FTauResult:
+def build_f_tau(tau: dict, name: str = "") -> FTauResult:
     """Presentation with relations (recoloured tau_ref = recoloured tau_b).
 
     tau maps colour names to monochromatic tree shapes, all with the same
@@ -435,8 +412,8 @@ def build_f_tau(tau: dict, name: str = "",
         lhs = recolour(ref_shape, ref_colour)
         relations = tuple((lhs, recolour(shape, b)) for b, shape in shapes[1:])
     p = SkeinPresentation(colours, relations, name or "f_tau")
-    lc = reversing.decide_left_cancellative(p, budget)
-    ore = cofinal_search(p, budget=budget, oracle_budget=oracle_budget)
-    report = spine(p, budget=budget, oracle_budget=oracle_budget)
-    cert = f_infinity_certificate(p, report, ore, budget, oracle_budget)
+    lc = reversing.decide_left_cancellative(p)
+    ore = cofinal_search(p)
+    report = spine(p)
+    cert = f_infinity_certificate(p, report, ore)
     return FTauResult(p, lc, ore, report, cert)

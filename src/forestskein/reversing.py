@@ -22,9 +22,10 @@ route for left-cancellativity delegates to the congruence oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .config import OracleBudget, ReversingBudget, SearchBounds
+from .config import ReversingBudget, SearchBounds
 from .forest import parse_word, render_word
 from .presentation import SkeinPresentation, is_complemented, skein_relation_words
 from . import oracle
@@ -150,14 +151,9 @@ def _derived_pairs(words) -> list:
     return derived
 
 
-_rules_cache: dict = {}
-
-
+@functools.cache
 def _rules(p: SkeinPresentation) -> _Rules:
-    r = _rules_cache.get(p)
-    if r is None:
-        r = _rules_cache[p] = _Rules(p)
-    return r
+    return _Rules(p)
 
 
 def _find_pattern(w: list, start: int = 0) -> int:
@@ -263,7 +259,7 @@ def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
 # ---------------------------------------------------------------------------
 # Complements
 
-def complement(p: SkeinPresentation, u, v, budget: ReversingBudget | None = None):
+def complement(p: SkeinPresentation, u, v):
     """(u\\v, v\\u) for positive words u, v, or None when reversal blocks.
 
     Only meaningful on complemented presentations, where the reversal is
@@ -272,7 +268,7 @@ def complement(p: SkeinPresentation, u, v, budget: ReversingBudget | None = None
     if not is_complemented(p):
         raise ValueError("complement is defined for complemented presentations only")
     w = inverse_word(positive_word(u)) + positive_word(v)
-    out = reverse(p, w, budget)
+    out = reverse(p, w)
     if out.terminated:
         return out.result
     if out.status == "blocked":
@@ -311,19 +307,18 @@ def words_equal(p: SkeinPresentation, u, v,
 # ---------------------------------------------------------------------------
 # Strong cube condition and completeness
 
-def scc_at(p: SkeinPresentation, u, v, w,
-           budget: ReversingBudget | None = None) -> str:
+def scc_at(p: SkeinPresentation, u, v, w) -> str:
     """satisfied / violated / unknown for the cube condition at positive words (u, v, w)."""
     quad = (inverse_word(positive_word(u)) + positive_word(w)
             + inverse_word(positive_word(w)) + positive_word(v))
-    out = reverse(p, quad, budget)
+    out = reverse(p, quad)
     if out.status == "budget_exhausted":
         return "unknown"
     verdict = "satisfied"
     for vp, up in out.terminals:
         check = (inverse_word(positive_word(tuple(u) + tuple(vp)))
                  + positive_word(tuple(v) + tuple(up)))
-        ans = reverses_to_empty(p, check, budget)
+        ans = reverses_to_empty(p, check)
         if ans == "no":
             return "violated"
         if ans == "unknown":
@@ -347,13 +342,12 @@ def _letters(colour: str) -> tuple:
     return ((colour, 1),)
 
 
-def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str,
-                           budget: ReversingBudget | None = None):
+def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str):
     """The word [(x1\\y1)\\(x1\\z1)] \\ [(y1\\x1)\\(y1\\z1)], or None when undefined."""
     def comp(uw, vw):
         if uw is None or vw is None:
             return None
-        res = complement(p, uw, vw, budget)
+        res = complement(p, uw, vw)
         return None if res is None else res[0]
 
     xy = comp(_letters(x), _letters(y))
@@ -365,8 +359,8 @@ def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str,
     return comp(left, right)
 
 
-def is_complete(p: SkeinPresentation,
-                budget: ReversingBudget | None = None) -> Certificate:
+@functools.cache
+def is_complete(p: SkeinPresentation) -> Certificate:
     """Tri-state completeness of the elementary-generator presentation.
 
     Complemented presentations are checked through the cube expression at
@@ -374,7 +368,6 @@ def is_complete(p: SkeinPresentation,
     colours through the cube condition at (x1, y1, z1).  Anything else is
     reported unknown rather than guessed.
     """
-    budget = budget or ReversingBudget()
     if is_complemented(p):
         if len(p.colours) <= 2:
             return Certificate("complete", "complemented-small",
@@ -385,7 +378,7 @@ def is_complete(p: SkeinPresentation,
                     if len({x, y, z}) != 3:
                         continue
                     try:
-                        e = complemented_cube_word(p, x, y, z, budget)
+                        e = complemented_cube_word(p, x, y, z)
                     except oracle.BudgetExceeded:
                         return Certificate("unknown", "complemented-cube-budget",
                                            {"triple": [x, y, z]})
@@ -401,7 +394,7 @@ def is_complete(p: SkeinPresentation,
                 for z in p.colours:
                     if z == x or z == y:
                         continue
-                    ans = scc_at(p, _letters(x), _letters(y), _letters(z), budget)
+                    ans = scc_at(p, _letters(x), _letters(y), _letters(z))
                     if ans == "violated":
                         return Certificate("incomplete", "scc-at-generators",
                                            {"triple": [x, y, z]})
@@ -414,25 +407,22 @@ def is_complete(p: SkeinPresentation,
                        {"reason": "relations with equal root colours"})
 
 
-def decide_left_cancellative(p: SkeinPresentation,
-                             budget: ReversingBudget | None = None,
-                             refute_bound: int | None = None,
-                             oracle_budget: OracleBudget | None = None) -> Certificate:
+@functools.cache
+def decide_left_cancellative(p: SkeinPresentation) -> Certificate:
     """yes / no / unknown with a certificate naming the deciding branch."""
-    budget = budget or ReversingBudget()
-    refute_bound = refute_bound or SearchBounds().lc_refute_bound
-    comp = is_complete(p, budget)
+    refute_bound = SearchBounds().lc_refute_bound
+    comp = is_complete(p)
     if comp.verdict == "complete":
         ok = True
         for tail_l, tail_r in _rules(p).same_root:
-            ans = words_equal(p, tail_l, tail_r, budget)
+            ans = words_equal(p, tail_l, tail_r)
             if ans != "yes":
                 ok = False
                 break
         if ok:
             return Certificate("yes", "complete-no-shared-head",
                               {"completeness": comp.criterion})
-    ce = oracle.refute_left_cancellative(p, refute_bound, oracle_budget)
+    ce = oracle.refute_left_cancellative(p, refute_bound)
     if ce is not None:
         return Certificate("no", "oracle-counterexample",
                            {"counterexample": ce.render(), "bound": refute_bound})
@@ -440,8 +430,7 @@ def decide_left_cancellative(p: SkeinPresentation,
                        {"completeness": comp.verdict, "refute_bound": refute_bound})
 
 
-def ore_via_closed_family(p: SkeinPresentation,
-                          budget: ReversingBudget | None = None) -> Certificate:
+def ore_via_closed_family(p: SkeinPresentation) -> Certificate:
     """Ore's property via a generator family closed under reversing.
 
     Applies when every pair of distinct colours shares exactly one relation
@@ -467,7 +456,7 @@ def ore_via_closed_family(p: SkeinPresentation,
         if len(lw) != 2 or len(rw) != 2:
             return Certificate("unknown", "shape-mismatch",
                                {"reason": "relation words longer than two letters"})
-    comp = is_complete(p, budget)
+    comp = is_complete(p)
     if comp.verdict != "complete":
         return Certificate("unknown", "completeness-not-established",
                            {"completeness": comp.verdict})

@@ -1,10 +1,13 @@
+import collections
 import json
 
 import pytest
 
 from click.testing import CliRunner
 
+from forestskein import corpus, oracle, reversing
 from forestskein.cli import main
+from forestskein.presentation import parse
 
 
 def run(*args):
@@ -162,3 +165,27 @@ def test_examples_f_tau(tmp_path):
     assert "F-infinity: proved" in res.output
     body = (tmp_path / "tau-cleary.fsk").read_text()
     assert "rel: a1 a1 = b1 b2" in body
+
+
+def test_certifiers_run_once_per_presentation(tmp_path, monkeypatch):
+    # a name no other test uses, so no verdict for this value is cached yet
+    text = corpus.EXAMPLES["notlc"].replace("name: notlc", "name: notlc-memo-probe")
+    source = tmp_path / "probe.fsk"
+    source.write_text(text)
+    calls = collections.Counter()
+    for module, name in ((oracle, "refute_left_cancellative"), (reversing, "scc_at"),
+                         (reversing, "complemented_cube_word")):
+        def counting(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counting)
+    assert run("check", str(source), "--json").exit_code == 0
+    assert run("spine", str(source), "--json").exit_code == 0
+    # one completeness check (violated at the first triple), one LC refutation
+    assert calls == {"scc_at": 1, "refute_left_cancellative": 1}
+    # a re-parsed equal presentation gets the cached certificates
+    p, q = parse(text), parse(text)
+    assert p is not q
+    assert reversing.is_complete(q) is reversing.is_complete(p)
+    assert reversing.decide_left_cancellative(q) is reversing.decide_left_cancellative(p)
+    assert calls == {"scc_at": 1, "refute_left_cancellative": 1}

@@ -107,11 +107,10 @@ def test_normal_form_idempotent_random(cleary, rng):
         assert fr.normal_form(nf) == nf
 
 
-def test_normal_form_over_budget_fallback(cleary, monkeypatch):
+def test_normal_form_over_budget_fallback(cleary):
     # Above 4 carets the cleary stratum exceeds 300 forests, so classes are
     # read only once stripping gets there; the first result is therefore not
     # the unbudgeted [a(I,b(b(a(I,I),I),I)) ; a(I,a(b(I,I),b(I,I)))].
-    monkeypatch.setattr(oracle, "_tables", {})
     budget = OracleBudget(class_cap=300)
     cases = [
         ("a(a(I,b(I,I)),b(b(a(I,I),I),I))", "b(I,b(b(I,I),a(b(I,I),b(I,I))))",

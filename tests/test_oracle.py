@@ -60,7 +60,7 @@ def test_class_leq(cleary, free2):
     assert oracle.class_leq(free2, (caret("a"),), (tw("b1 b2"),)) is None
 
 
-def test_class_members(cleary, monkeypatch):
+def test_class_members(cleary):
     table = oracle.saturate(cleary, 1, 3)
     for cls in table.classes:
         for f in cls:
@@ -69,7 +69,6 @@ def test_class_members(cleary, monkeypatch):
     five = (tw("a1 a1 a1 a1 a1"),)
     with pytest.raises(oracle.BudgetExceeded):
         oracle.class_members(cleary, five, oracle.OracleBudget(caret_cap=4))
-    monkeypatch.setattr(oracle, "_tables", {})
     with pytest.raises(oracle.BudgetExceeded):
         oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
 
@@ -169,6 +168,13 @@ def test_over_budget_stratum_is_refused_before_enumeration(cleary, monkeypatch):
     with pytest.raises(oracle.BudgetExceeded, match=r"<= 9 carets\) exceeds 1000000 forests"):
         oracle.saturate(cleary, 1, 9)
     assert requests == []
+
+
+def test_cached_stratum_keeps_the_budget(cleary):
+    # a table built under the default budget is refused to a tighter one
+    assert len(oracle.saturate(cleary, 1, 6).class_of) == 10_067
+    with pytest.raises(oracle.BudgetExceeded, match=r"<= 6 carets\) exceeds 300 forests"):
+        oracle.saturate(cleary, 1, 6, oracle.OracleBudget(class_cap=300))
 
 
 def test_concurrent_saturation(cleary):

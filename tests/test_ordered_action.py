@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from forestskein import fractions as fr, oracle, ordered_action as oa
+from forestskein import fractions as fr, ordered_action as oa
 from forestskein.config import OracleBudget
 from forestskein.forest import (
     LEAF,
@@ -73,10 +73,9 @@ def test_normalize_class_invariance(cleary):
     assert oa.normalize_point(cleary, grown_t, grown_j) == x
 
 
-def test_normalize_over_budget_fallback(cleary, monkeypatch):
+def test_normalize_over_budget_fallback(cleary):
     # Above 4 carets the cleary stratum exceeds 300 forests, so the descent
     # strips carets before it can read a class; the exact scan then finishes.
-    monkeypatch.setattr(oracle, "_tables", {})
     budget = OracleBudget(class_cap=300)
     cases = [
         ("a(a(I,I),b(a(I,I),b(I,I)))", 5, "a(I,b(I,I))", 3),

@@ -26,3 +26,18 @@ def test_qspace_experiments_smoke(presentation, monkeypatch, capsys):
         assert set(d) == {"experiment", "presentation", "samples", "violations",
                           "unresolved", "bounds"}
         assert (d["presentation"], d["samples"], d["violations"]) == (presentation, 3, 0)
+
+
+def test_census_smoke(monkeypatch, capsys):
+    census = load_script("census")
+    monkeypatch.setattr(sys, "argv", ["census.py", "--json", "cleary", "notlc"])
+    census.main()
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+    assert set(rows) == {"cleary", "notlc"}
+    cleary = rows["cleary"]
+    assert (cleary["complemented"], cleary["complete"], cleary["lc"], cleary["ore"],
+            cleary["spine"], cleary["spine_stabilized"], cleary["f_infinity"]) == \
+        (True, "complete", "yes", "proved", 3, True, "proved")
+    notlc = rows["notlc"]
+    assert (notlc["complete"], notlc["lc"], notlc["f_infinity"]) == \
+        ("incomplete", "no", "unknown")
