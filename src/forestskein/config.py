@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class OracleBudget:
-    caret_cap: int = 12          # hard cap on saturated stratum caret counts
-    class_cap: int = 10**6       # hard cap on forests per stratum
+    caret_cap: int = 12          # hard cap on stratum caret counts
+    # Hard cap on forests per stratum.  A class read is refused by the size
+    # of the stratum that holds the class, although it searches only the
+    # class, so every over-budget fallback fires where saturation refused it.
+    class_cap: int = 10**6
 
 
 @dataclass(frozen=True)

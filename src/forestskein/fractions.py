@@ -167,8 +167,9 @@ def normal_form(g: GroupElement, bound: int | None = None,
     """Minimal-caret representative pair; ties broken by canonical word order.
 
     The least (carets, numerator word, denominator word) pair found by
-    `oracle.descend`.  Strata too large to saturate fall back to structural
-    stripping only, in which case the result may not be globally minimal.
+    `oracle.descend`.  Classes in strata over the oracle budget fall back to
+    structural stripping only, in which case the result may not be globally
+    minimal.
     `bound` is not read; it is kept so that positional calls keep working.
     """
     p = g.presentation

@@ -1,16 +1,23 @@
-"""Exact bounded decision procedures by stratum saturation.
+"""Exact bounded decision procedures on finite congruence classes.
 
 Every skein relation has equal leaf counts on both sides, so rewriting
-preserves (root count, caret count).  The congruence classes of forests in
-a fixed stratum are therefore finite: enumerate the stratum, apply every
-relation at every occurrence, and close with a union-find.  The resulting
-tables are the ground truth against which the reversing engine is checked,
-and they power the bounded left-cancellativity, Ore, and mcm queries.
+preserves (root count, caret count) and every congruence class is finite.
 
-`class_members` is the only reader of one congruence class: class order,
-the spine's monochromatic representatives and `descend` (behind both normal
-forms) go through it, so how a class is obtained is decided in one place.
-Whole-stratum questions call `saturate` directly.
+`class_members` is the only reader of one congruence class: equivalence,
+class order, the spine's monochromatic representatives and `descend`
+(behind both normal forms) go through it.  It searches the class from the
+forest itself, rewriting every relation at every occurrence in both
+directions until nothing new appears, and memoizes the sorted class under
+each of its members.
+
+`saturate` serves whole-stratum questions: it enumerates a stratum, applies
+every relation at every occurrence, and closes with a union-find.  Its
+tables are the ground truth against which the reversing engine and the
+class search are checked, and they power the bounded left-cancellativity,
+Ore, and mcm queries.
+
+Both refuse a read by the closed-form size of the stratum (`_admit`), so
+one budget governs a class and the stratum that holds it.
 
 Absent/no-failure answers here are evidence up to the stated bound, never
 proofs; callers must carry the bound along with the verdict.
@@ -18,6 +25,7 @@ proofs; callers must carry the bound along with the verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -60,9 +68,6 @@ class CongruenceTable:
             raise KeyError(f"forest {render_forest(f)} outside stratum "
                            f"({self.roots} roots, <= {self.caret_bound} carets)")
 
-    def members(self, f: Forest) -> list:
-        return self.classes[self.class_id(f)]
-
 
 class _UnionFind:
     __slots__ = ("parent",)
@@ -85,39 +90,39 @@ class _UnionFind:
 
 _tables: dict = {}
 _tables_lock = threading.Lock()
+_classes: dict = {}     # (presentation, forest) -> its sorted class, shared by all members
 
 
-def saturate(p: SkeinPresentation, roots: int, carets: int,
-             budget: OracleBudget | None = None) -> CongruenceTable:
-    """Congruence table for the stratum (roots, <= carets).  Memoized, thread-safe."""
-    budget = budget or OracleBudget()
+def _admit(p: SkeinPresentation, roots: int, carets: int, budget: OracleBudget) -> None:
+    """Refuse the stratum (roots, <= carets) over budget; its size is known in
+    closed form, so nothing is enumerated or cached first."""
     if carets > budget.caret_cap:
         raise BudgetExceeded(
             f"caret bound {carets} exceeds the oracle budget {budget.caret_cap}")
-    key = (p, roots, carets)
-    with _tables_lock:
-        cached = _tables.get(key)
-        if cached is not None:
-            _check_size(len(cached.class_of), roots, carets, budget)
-            return cached
-        table = _build(p, roots, carets, budget)
-        _tables[key] = table
-        return table
-
-
-def _check_size(size: int, roots: int, carets: int, budget: OracleBudget) -> None:
-    if size > budget.class_cap:
+    if _stratum_size(p.colours, roots, carets) > budget.class_cap:
         raise BudgetExceeded(
             f"stratum ({roots} roots, <= {carets} carets) exceeds "
             f"{budget.class_cap} forests")
 
 
-def _build(p: SkeinPresentation, roots: int, carets: int,
-           budget: OracleBudget) -> CongruenceTable:
-    # The size is known in closed form, so an over-budget stratum is
-    # refused before any of it is enumerated.
-    _check_size(sum(forest_count(p.colours, roots, k) for k in range(carets + 1)),
-                roots, carets, budget)
+@functools.cache
+def _stratum_size(colours: tuple, roots: int, carets: int) -> int:
+    return sum(forest_count(colours, roots, k) for k in range(carets + 1))
+
+
+def saturate(p: SkeinPresentation, roots: int, carets: int,
+             budget: OracleBudget | None = None) -> CongruenceTable:
+    """Congruence table for the stratum (roots, <= carets).  Memoized, thread-safe."""
+    _admit(p, roots, carets, budget or OracleBudget())
+    key = (p, roots, carets)
+    with _tables_lock:
+        table = _tables.get(key)
+        if table is None:
+            table = _tables[key] = _build(p, roots, carets)
+        return table
+
+
+def _build(p: SkeinPresentation, roots: int, carets: int) -> CongruenceTable:
     all_forests = [f for k in range(carets + 1)
                    for f in forests_with_carets(p.colours, roots, k)]
     index = {f: i for i, f in enumerate(all_forests)}
@@ -150,14 +155,37 @@ def equivalent(p: SkeinPresentation, f: Forest, g: Forest) -> bool:
         return False
     if f == g:
         return True
-    table = saturate(p, len(f), forest_caret_count(f))
-    return table.class_id(f) == table.class_id(g)
+    return g in class_members(p, f)
 
 
 def class_members(p: SkeinPresentation, f: Forest,
                   budget: OracleBudget | None = None) -> list:
-    """The members of f's congruence class, canonical member first; may raise BudgetExceeded."""
-    return saturate(p, len(f), forest_caret_count(f), budget).members(f)
+    """The members of f's congruence class, canonical member first; may raise BudgetExceeded.
+
+    Admitted like the stratum that holds the class, then searched from f
+    itself: the relations rewrite in both directions, so the search closes
+    the class exactly, and `forest_key` (injective) orders it as the table does.
+    """
+    _admit(p, len(f), forest_caret_count(f), budget or OracleBudget())
+    cached = _classes.get((p, f))
+    if cached is not None:
+        return cached
+    seen = {f}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        for lhs, rhs in p.relations:
+            for u, u2 in ((lhs, rhs), (rhs, lhs)):
+                for occ in find_occurrences(g, u):
+                    h = rewrite_at(g, occ, u, u2)
+                    if h not in seen:
+                        seen.add(h)
+                        stack.append(h)
+    rank = p.colour_rank
+    members = sorted(seen, key=lambda x: forest_key(x, rank))
+    for member in members:
+        _classes[(p, member)] = members
+    return members
 
 
 def divide_class(f: Forest, members) -> Forest | None:

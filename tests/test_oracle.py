@@ -2,19 +2,23 @@ import random
 
 import pytest
 
-from forestskein import oracle
+from forestskein import corpus, fractions, oracle
 from forestskein.forest import (
     caret,
     compose,
     find_occurrences,
     forest_caret_count,
+    forests_with_carets,
     parse_word,
+    random_forest,
+    random_tree,
     render_forest,
     rewrite_at,
     tensor,
     tree_from_word,
     trees_with_carets,
 )
+from forestskein.ordered_action import normalize_point
 from forestskein.presentation import parse
 
 
@@ -73,6 +77,42 @@ def test_class_members(cleary):
         oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
 
 
+def test_class_search_matches_the_table(monkeypatch):
+    # the search from one forest gives the table's class: same list, same order
+    monkeypatch.setattr(oracle, "_classes", {}, raising=False)
+    rng = random.Random(8)
+    for name in corpus.names():
+        p = corpus.load(name)
+        fewer = 1 if len(p.colours) >= 4 else 0
+        for roots, carets in ((1, 4 - fewer), (2, 3 - fewer)):
+            table = oracle.saturate(p, roots, carets)
+            for k in range(carets + 1):
+                for f in forests_with_carets(p.colours, roots, k):
+                    assert oracle.class_members(p, f) == table.classes[table.class_id(f)]
+    for _ in range(200):
+        p = corpus.load(rng.choice(corpus.names()))
+        k = rng.randrange(1, 4)
+        table = oracle.saturate(p, 1, k)
+        f = random_forest(rng, p.colours, 1, k)
+        g = rng.choice(table.classes[table.class_id(f)] + [random_forest(rng, p.colours, 1, k)])
+        assert oracle.equivalent(p, f, g) == (table.class_id(f) == table.class_id(g))
+
+
+def test_single_class_reads_build_no_stratum(cleary, notlc, monkeypatch):
+    monkeypatch.setattr(oracle, "_tables", {})
+    monkeypatch.setattr(oracle, "_classes", {}, raising=False)
+    rng = random.Random(88)
+    t = random_tree(rng, cleary.colours, 8)
+    normalize_point(cleary, t, rng.randrange(1, 10))
+    s, u = (random_tree(rng, notlc.colours, 5) for _ in range(2))
+    fractions.trees_equivalent(notlc, s, u, 14)
+    assert oracle._tables == {}
+    five = (tw("a1 a1 a1 a1 a1"),)
+    with pytest.raises(oracle.BudgetExceeded):
+        oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
+    assert (cleary, five) not in oracle._classes
+
+
 def test_refute_left_cancellative(cleary, notlc, free2):
     ce = oracle.refute_left_cancellative(notlc, 3)
     assert ce is not None
@@ -111,8 +151,8 @@ def test_mcm_f_tau():
 
 
 def test_saturation_idempotent(cleary):
-    t1 = oracle._build(cleary, 1, 3, oracle.OracleBudget())
-    t2 = oracle._build(cleary, 1, 3, oracle.OracleBudget())
+    t1 = oracle._build(cleary, 1, 3)
+    t2 = oracle._build(cleary, 1, 3)
     assert t1.class_of == t2.class_of
     assert t1.classes == t2.classes
 
