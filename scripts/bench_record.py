@@ -29,7 +29,7 @@ from pathlib import Path
 
 WORKLOADS = ("sweep", "query", "census")
 TRACED = ("oracle.saturate.calls", "oracle.forests", "forest.self_s",
-          "ordered_action.scan_per_normalize")
+          "ordered_action.scan_per_normalize", "reversing.us_per_call")
 _DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown)\s+(\S+)$")
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 
@@ -46,7 +46,7 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     line = json.loads(lines[-1])
     record = json.loads((root / ".perfbench_out" /
                          f"{workload}-seed{seed}-trace{trace}.json").read_text())
-    return {"line": line, "record": record, "exit": proc.returncode}
+    return {"line": line, "record": record}
 
 
 def spread(values: list) -> dict:

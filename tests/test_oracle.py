@@ -79,7 +79,7 @@ def test_class_members(cleary):
 
 def test_class_search_matches_the_table(monkeypatch):
     # the search from one forest gives the table's class: same list, same order
-    monkeypatch.setattr(oracle, "_classes", {}, raising=False)
+    monkeypatch.setattr(oracle, "_classes", {})
     rng = random.Random(8)
     for name in corpus.names():
         p = corpus.load(name)
@@ -100,7 +100,7 @@ def test_class_search_matches_the_table(monkeypatch):
 
 def test_single_class_reads_build_no_stratum(cleary, notlc, monkeypatch):
     monkeypatch.setattr(oracle, "_tables", {})
-    monkeypatch.setattr(oracle, "_classes", {}, raising=False)
+    monkeypatch.setattr(oracle, "_classes", {})
     rng = random.Random(88)
     t = random_tree(rng, cleary.colours, 8)
     normalize_point(cleary, t, rng.randrange(1, 10))
