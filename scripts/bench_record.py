@@ -9,10 +9,12 @@ once per seed and keeps, for every end-to-end metric, the median and the
 interquartile range over the seeds.  It adds one `--trace 1` run per
 workload (on the first seed) for the layer counters, the layer self-time
 shares, the per-test times of `pytest --durations=0` and the metadata that
-run.py records (commit, Python, nproc, CPU model).  Everything runs from
---root, so a checkout of an older commit can be measured with this script;
-the file is written at the root of that checkout unless --out says otherwise.
-Only the standard library is used, and nothing under perfbench/ is changed.
+run.py records (commit, Python, nproc, CPU model).  Every run takes
+run.py's own default duration, so all BENCH files share one run length.
+Everything runs from --root, so a checkout of an older commit can be
+measured with this script; the file is always written at the root of the
+checkout that holds this script.  Only the standard library is used, and
+nothing under perfbench/ is changed.
 """
 
 from __future__ import annotations
@@ -32,18 +34,24 @@ TRACED = ("oracle.saturate.calls", "oracle.forests", "forest.self_s",
           "ordered_action.scan_per_normalize", "reversing.us_per_call")
 _DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown)\s+(\S+)$")
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
+HERE = Path(__file__).resolve().parent.parent
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One run.py run: its result line plus the record it wrote."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+def last_line(cmd: list, proc: subprocess.CompletedProcess) -> str:
+    """The last line a command printed; its stderr is shown if it printed nothing."""
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"bench_record: {' '.join(cmd)} printed nothing "
                          f"(exit {proc.returncode}):\n{proc.stderr}")
-    line = json.loads(lines[-1])
+    return lines[-1]
+
+
+def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
+    """One run.py run: its result line plus the record it wrote."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    line = json.loads(last_line(cmd, proc))
     record = json.loads((root / ".perfbench_out" /
                          f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return {"line": line, "record": record}
@@ -98,7 +106,7 @@ def pytest_durations(root: Path) -> dict:
         m = _DURATION.match(line.strip())
         if m:
             tests[m.group(3)] = round(tests.get(m.group(3), 0.0) + float(m.group(1)), 4)
-    counts = {kind: int(n) for n, kind in _SUMMARY.findall(proc.stdout.strip().splitlines()[-1])}
+    counts = {kind: int(n) for n, kind in _SUMMARY.findall(last_line(cmd, proc))}
     return {"wall_s": round(wall, 2), "counts": counts,
             "tests": dict(sorted(tests.items(), key=lambda kv: -kv[1]))}
 
@@ -108,33 +116,27 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--n", type=int, required=True, help="the number in BENCH_<n>.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[21, 22, 23, 24, 25])
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+    ap.add_argument("--root", type=Path, default=HERE,
                     help="the checkout to measure (default: this one)")
-    ap.add_argument("--out", type=Path, default=None)
-    ap.add_argument("--no-pytest", action="store_true", help="skip the tier-1 durations")
     args = ap.parse_args(argv)
     root = args.root.resolve()
 
-    doc: dict = {"bench": args.n, "seeds": args.seeds, "seconds": args.seconds,
-                 "workloads": {}}
+    doc: dict = {"bench": args.n, "seeds": args.seeds, "workloads": {}}
     meta = None
-    for w in args.workloads:
+    for w in WORKLOADS:
         runs = []
         for seed in args.seeds:
-            runs.append(run_bench(root, w, seed, args.seconds, 0))
+            runs.append(run_bench(root, w, seed, 0))
             print(f"{w} seed {seed}: {runs[-1]['line']['metrics']}", flush=True)
         meta = meta or runs[0]["record"]["meta"]
         entry = summarize(runs)
-        entry["trace"] = traced(run_bench(root, w, args.seeds[0], args.seconds, 1))
+        entry["trace"] = traced(run_bench(root, w, args.seeds[0], 1))
         print(f"{w} traced: {entry['trace']['metrics']}", flush=True)
         doc["workloads"][w] = entry
     doc["meta"] = {k: meta[k] for k in ("commit", "python", "nproc", "cpu_model")}
-    if not args.no_pytest:
-        doc["tier1"] = pytest_durations(root)
-        print(f"tier-1: {doc['tier1']['counts']} in {doc['tier1']['wall_s']} s", flush=True)
-    out = args.out or root / f"BENCH_{args.n}.json"
+    doc["tier1"] = pytest_durations(root)
+    print(f"tier-1: {doc['tier1']['counts']} in {doc['tier1']['wall_s']} s", flush=True)
+    out = HERE / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -25,7 +25,6 @@ proofs; callers must carry the bound along with the verdict.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -99,15 +98,10 @@ def _admit(p: SkeinPresentation, roots: int, carets: int, budget: OracleBudget) 
     if carets > budget.caret_cap:
         raise BudgetExceeded(
             f"caret bound {carets} exceeds the oracle budget {budget.caret_cap}")
-    if _stratum_size(p.colours, roots, carets) > budget.class_cap:
+    if sum(forest_count(p.colours, roots, k) for k in range(carets + 1)) > budget.class_cap:
         raise BudgetExceeded(
             f"stratum ({roots} roots, <= {carets} carets) exceeds "
             f"{budget.class_cap} forests")
-
-
-@functools.cache
-def _stratum_size(colours: tuple, roots: int, carets: int) -> int:
-    return sum(forest_count(colours, roots, k) for k in range(carets + 1))
 
 
 def saturate(p: SkeinPresentation, roots: int, carets: int,

@@ -111,6 +111,10 @@ def test_single_class_reads_build_no_stratum(cleary, notlc, monkeypatch):
     with pytest.raises(oracle.BudgetExceeded):
         oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
     assert (cleary, five) not in oracle._classes
+    # a class already read at the default budget is still refused under a tight one
+    assert five in oracle.class_members(cleary, five)
+    with pytest.raises(oracle.BudgetExceeded):
+        oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
 
 
 def test_refute_left_cancellative(cleary, notlc, free2):
