@@ -93,10 +93,7 @@ def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree, bound: int) 
     """Forests (f, f') with t . f ~ s . f', or raise Unresolved."""
     if uses_reversing(p):
         out = reversing.reverse(
-            p,
-            reversing.inverse_word(reversing.positive_word(word_from_tree(t)))
-            + reversing.positive_word(word_from_tree(s)),
-        )
+            p, reversing.inverse_product(word_from_tree(t), word_from_tree(s)))
         if out.terminated:
             f = forest_from_word(out.result[0], leaf_count(t))
             f2 = forest_from_word(out.result[1], leaf_count(s))

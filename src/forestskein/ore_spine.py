@@ -60,11 +60,7 @@ class OreSearch:
 
 def _join_word(p, u, v):
     """Word of a common multiple u(u\\v) of positive words u, v, or None."""
-    out = reversing.reverse(
-        p,
-        reversing.inverse_word(reversing.positive_word(u))
-        + reversing.positive_word(v),
-    )
+    out = reversing.reverse(p, reversing.inverse_product(u, v))
     if out.terminated:
         return tuple(u) + out.result[0]
     return None
@@ -211,11 +207,7 @@ def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int) -> list
     wx, wy = word_from_tree(x), word_from_tree(y)
     # every terminal of the reversal is a common multiple (exactly one on a
     # complemented presentation); minimality is filtered by divisibility
-    out = reversing.reverse(
-        p,
-        reversing.inverse_word(reversing.positive_word(wx))
-        + reversing.positive_word(wy),
-    )
+    out = reversing.reverse(p, reversing.inverse_product(wx, wy))
     candidates = []
     for left, _ in out.terminals:
         w = tuple(wx) + left

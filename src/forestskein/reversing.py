@@ -13,6 +13,8 @@ Relations at arbitrary indices are generated on demand by shifting, under a
 hard index ceiling so divergence surfaces as an explicit budget status.  On
 complemented presentations there is at most one move per pattern and the
 procedure is deterministic; otherwise every move is explored exhaustively.
+Words are letter tuples at the interface and signed ints inside the loops,
+with the equal-index moves read from a per-presentation table (`_Rules`).
 
 The strong cube condition, completeness, left-cancellativity and the
 closed-family Ore criterion are all expressed over this engine.  Positive
@@ -22,7 +24,9 @@ route for left-cancellativity delegates to the congruence oracle.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .config import ReversingBudget, SearchBounds
@@ -42,8 +46,9 @@ def inverse_word(w: SignedWord) -> SignedWord:
     return tuple((c, i, -s) for c, i, s in reversed(w))
 
 
-def unsigned(w: SignedWord) -> tuple:
-    return tuple((c, i) for c, i, _ in w)
+def inverse_product(u, v) -> SignedWord:
+    """The signed word u^-1 v of two positive words."""
+    return tuple((c, i, -1) for c, i in reversed(u)) + positive_word(v)
 
 
 def parse_signed_word(text: str) -> SignedWord:
@@ -56,10 +61,6 @@ def parse_signed_word(text: str) -> SignedWord:
         (c, i), = parse_word(tok)
         out.append((c, i, sign))
     return tuple(out)
-
-
-def render_signed_word(w: SignedWord) -> str:
-    return " ".join(f"{c}{i}" + ("^-1" if s < 0 else "") for c, i, s in w)
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,17 @@ class ReversalOutcome:
         return self.terminals[0] if self.terminated else None
 
 
+class _Table(dict):
+    """A dict that computes a missing entry with `fill` and keeps it."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
 class _Rules:
     """Per-presentation relation tables for the reversing loop.
 
@@ -88,18 +100,25 @@ class _Rules:
     monochromatic-pair family, whose emitted presentations pair a reference
     colour with every other colour only.
 
-    `by_pair` maps a colour pair (x, y) to the replacement words of the
-    pattern x_1^-1 y_1 with indices lowered by one, so that the pattern at
-    index i is replaced by the template shifted by i.
+    With C colours the letter x_i is coded (i + 1)·C + rank(x) and x_i^-1
+    as its negation, so an index shift adds C and the ceiling test compares
+    one magnitude.  `templates` maps two colour ranks to the coded
+    replacement words of their pattern at index 0.  `skein` maps the codes
+    (a, b) of an equal-index pattern a^-1 b to its moves in exploration
+    order (the deletion first when a = b), each a code tuple with its largest
+    magnitude; filled on first use, it holds at most C² entries per index
+    reached.  `letters` decodes a signed code.
     """
 
     def __init__(self, p: SkeinPresentation):
+        self.colours, self.rank, self.C = p.colours, p.colour_rank, len(p.colours)
         words = list(skein_relation_words(p))
         self.deterministic = is_complemented(p)
         if self.deterministic:
             words.extend(_derived_pairs(words))
-        self.by_pair: dict = {}
-        self.same_root: list = []
+        self.templates, self.same_root = {}, []
+        self.skein = _Table(self._skein_moves)
+        self.letters = _Table(lambda a: (self.colours[abs(a) % self.C], abs(a) // self.C - 1))
         for lw, rw in words:
             x, y = lw[0][0], rw[0][0]
             tail_l, tail_r = lw[1:], rw[1:]
@@ -113,22 +132,30 @@ class _Rules:
                 self._add(y, x, tail_r, tail_l)
 
     def _add(self, x, y, tail_x, tail_y):
-        template = tuple((c, k - 1, 1) for c, k in tail_x) + \
-            tuple((c, k - 1, -1) for c, k in reversed(tail_y))
-        self.by_pair.setdefault((x, y), []).append(template)
+        # the tail letter (c, k) of a relation rooted at index 1 lies at index
+        # k - 1 of the pattern at index 0, with code k·C + rank(c)
+        C, rank = self.C, self.rank
+        template = tuple(k * C + rank[c] for c, k in tail_x) + \
+            tuple(-(k * C + rank[c]) for c, k in reversed(tail_y))
+        self.templates.setdefault((rank[x], rank[y]), []).append(template)
 
-    def moves(self, neg, pos) -> list:
-        """All replacement words for the pattern neg^-1 pos, in exploration order."""
-        x, i, _ = neg
-        y, j, _ = pos
-        if i < j:
-            return [((y, j + 1, 1), (x, i, -1))]
-        if i > j:
-            return [((y, j, 1), (x, i + 1, -1))]
-        out = [()] if x == y else []
-        out.extend(tuple((c, k + i, s) for c, k, s in template)
-                   for template in self.by_pair.get((x, y), ()))
-        return out
+    def _skein_moves(self, pattern) -> tuple:
+        (a, b), C = pattern, self.C
+        shift = a - a % C - C           # i·C for the pattern at index i
+        repls = [()] if a == b else []
+        repls += [tuple(c + shift if c > 0 else c - shift for c in template)
+                  for template in self.templates.get((a % C, b % C), ())]
+        return tuple((repl, max(map(abs, repl), default=0)) for repl in repls)
+
+    def encode(self, w: SignedWord) -> tuple:
+        C, rank = self.C, self.rank
+        return tuple(s * ((i + 1) * C + rank[c]) for c, i, s in w)
+
+    def split(self, word) -> tuple:
+        """Decode a pattern-free word into (positive prefix, positive suffix word)."""
+        cut = bisect.bisect(word, False, key=(0).__gt__)    # the count of positive codes
+        letter = self.letters.__getitem__
+        return tuple(map(letter, word[:cut])), tuple(map(letter, reversed(word[cut:])))
 
 
 def _derived_pairs(words) -> list:
@@ -151,100 +178,102 @@ def _derived_pairs(words) -> list:
     return derived
 
 
-@functools.cache
-def _rules(p: SkeinPresentation) -> _Rules:
-    return _Rules(p)
-
-
-def _find_pattern(w: list, start: int = 0) -> int:
-    for k in range(max(start, 0), len(w) - 1):
-        if w[k][2] < 0 and w[k + 1][2] > 0:
-            return k
-    return -1
-
-
-def _split(w) -> tuple:
-    """Split a pattern-free word into (positive prefix, positive suffix word)."""
-    cut = len(w)
-    for k, (_, _, s) in enumerate(w):
-        if s < 0:
-            cut = k
-            break
-    return unsigned(w[:cut]), unsigned(inverse_word(w[cut:]))
+_rules = functools.cache(_Rules)
 
 
 def reverse(p: SkeinPresentation, w: SignedWord,
             budget: ReversingBudget | None = None) -> ReversalOutcome:
-    """Reverse w, deterministically on complemented presentations and by
-    exhaustive search over every move otherwise."""
+    """Reverse w: deterministically when p is complemented, else by exhaustive search."""
     budget = budget or ReversingBudget()
     rules = _rules(p)
-    if rules.deterministic:
-        return _reverse_det(rules, w, budget)
-    return _reverse_branching(rules, w, budget)
+    engine = _reverse_det if rules.deterministic else _reverse_branching
+    return engine(rules, rules.encode(w), budget)
 
 
-def _reverse_det(rules: _Rules, w: SignedWord, budget: ReversingBudget) -> ReversalOutcome:
+def _reverse_det(rules: _Rules, w: tuple, budget: ReversingBudget) -> ReversalOutcome:
+    C, skein, max_steps = rules.C, rules.skein, budget.steps
+    limit = (budget.index_ceiling + 2) * C      # the least code above the ceiling
     word = list(w)
-    steps = 0
-    hint = 0
-    while True:
-        k = _find_pattern(word, hint - 1)
-        if k < 0:
-            status = "empty" if not word else "terminated"
-            return ReversalOutcome(status, (_split(word),), steps)
-        if steps >= budget.steps:
+    steps, k, end = 0, 0, len(word) - 1
+    while True:                     # the prefix before k holds no pattern
+        while k < end and not word[k] < 0 < word[k + 1]:
+            k += 1
+        if k >= end:
+            return ReversalOutcome("terminated" if word else "empty", (rules.split(word),), steps)
+        if steps >= max_steps:
             return ReversalOutcome("budget_exhausted", (), steps)
-        moves = rules.moves(word[k], word[k + 1])
-        if not moves:
-            return ReversalOutcome("blocked", (), steps)
-        repl = moves[0]
-        if any(i > budget.index_ceiling for _, i, _ in repl):
-            return ReversalOutcome("budget_exhausted", (), steps)
-        word[k:k + 2] = repl
+        a, b = -word[k], word[k + 1]
+        i, j = a // C, b // C
+        if i < j:                   # only the grown letter can cross the ceiling
+            if b + C >= limit:
+                return ReversalOutcome("budget_exhausted", (), steps)
+            word[k], word[k + 1] = b + C, -a
+        elif i > j:
+            if a + C >= limit:
+                return ReversalOutcome("budget_exhausted", (), steps)
+            word[k], word[k + 1] = b, -a - C
+        else:
+            moves = skein[a, b]
+            if not moves:
+                return ReversalOutcome("blocked", (), steps)
+            if moves[0][1] >= limit:
+                return ReversalOutcome("budget_exhausted", (), steps)
+            word[k:k + 2] = moves[0][0]
+            end = len(word) - 1
         steps += 1
-        hint = k
+        if k:
+            k -= 1
 
 
-def _reverse_branching(rules: _Rules, w: SignedWord, budget: ReversingBudget) -> ReversalOutcome:
-    seen = {tuple(w)}
-    frontier = [tuple(w)]
-    terminals: list = []
-    blocked = False
-    exhausted = False
+def _reverse_branching(rules: _Rules, w: tuple, budget: ReversingBudget) -> ReversalOutcome:
+    C, skein, max_steps, cap = rules.C, rules.skein, budget.steps, budget.branch_cap
+    limit = (budget.index_ceiling + 2) * C
+    seen, full = {w}, cap < 1        # full: more words seen than the branch cap
+    frontier = [(w, 0)]     # (word, index before which it holds no pattern)
+    terminals: list = []    # each word is pushed once, so these are distinct
+    blocked = exhausted = False
     steps = 0
     while frontier:
-        cur = frontier.pop()
-        k = _find_pattern(cur)
-        if k < 0:
-            res = _split(cur)
-            if res not in terminals:
-                terminals.append(res)
+        cur, k = frontier.pop()
+        end = len(cur) - 1
+        while k < end and not cur[k] < 0 < cur[k + 1]:
+            k += 1
+        if k >= end:
+            terminals.append(cur)
             continue
-        moves = rules.moves(cur[k], cur[k + 1])
-        if not moves:
-            blocked = True
-            continue
-        for repl in moves:
+        a, b = -cur[k], cur[k + 1]
+        i, j = a // C, b // C
+        if i < j:
+            moves = (((b + C, -a), b + C),)
+        elif i > j:
+            moves = (((b, -a - C), a + C),)
+        else:
+            moves = skein[a, b]
+            if not moves:
+                blocked = True
+                continue
+        head, tail, back = cur[:k], cur[k + 2:], k - 1 if k else 0
+        for repl, top in moves:
             steps += 1
-            if steps > budget.steps or len(seen) > budget.branch_cap:
+            if steps > max_steps or full:
                 exhausted = True
-                frontier = []
+                frontier.clear()
                 break
-            if any(i > budget.index_ceiling for _, i, _ in repl):
+            if top >= limit:
                 exhausted = True
                 continue
-            nxt = cur[:k] + repl + cur[k + 2:]
+            nxt = head + repl + tail
             if nxt not in seen:
                 seen.add(nxt)
-                frontier.append(nxt)
+                full = len(seen) > cap
+                frontier.append((nxt, back))
     if exhausted:
         status = "budget_exhausted"
     elif len(terminals) == 1 and not blocked:
-        status = "empty" if terminals[0] == ((), ()) else "terminated"
+        status = "empty" if not terminals[0] else "terminated"
     else:
         status = "branching" if terminals else "blocked"
-    return ReversalOutcome(status, tuple(terminals), steps)
+    return ReversalOutcome(status, tuple(map(rules.split, terminals)), steps)
 
 
 def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
@@ -267,8 +296,7 @@ def complement(p: SkeinPresentation, u, v):
     """
     if not is_complemented(p):
         raise ValueError("complement is defined for complemented presentations only")
-    w = inverse_word(positive_word(u)) + positive_word(v)
-    out = reverse(p, w)
+    out = reverse(p, inverse_product(u, v))
     if out.terminated:
         return out.result
     if out.status == "blocked":
@@ -283,7 +311,7 @@ def left_divides(p: SkeinPresentation, u, v,
     Via reversing: u^-1 v must reverse to a purely positive word.  "yes" is
     sound always; "no" is conclusive only for complete presentations.
     """
-    out = reverse(p, inverse_word(positive_word(u)) + positive_word(v), budget)
+    out = reverse(p, inverse_product(u, v), budget)
     if any(not right for _, right in out.terminals):
         return "yes"
     return "unknown" if out.status == "budget_exhausted" else "no"
@@ -300,8 +328,7 @@ def words_equal(p: SkeinPresentation, u, v,
         return "no"
     if tuple(u) == tuple(v):
         return "yes"
-    w = inverse_word(positive_word(u)) + positive_word(v)
-    return reverses_to_empty(p, w, budget)
+    return reverses_to_empty(p, inverse_product(u, v), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +336,12 @@ def words_equal(p: SkeinPresentation, u, v,
 
 def scc_at(p: SkeinPresentation, u, v, w) -> str:
     """satisfied / violated / unknown for the cube condition at positive words (u, v, w)."""
-    quad = (inverse_word(positive_word(u)) + positive_word(w)
-            + inverse_word(positive_word(w)) + positive_word(v))
-    out = reverse(p, quad)
+    out = reverse(p, inverse_product(u, w) + inverse_product(w, v))
     if out.status == "budget_exhausted":
         return "unknown"
     verdict = "satisfied"
     for vp, up in out.terminals:
-        check = (inverse_word(positive_word(tuple(u) + tuple(vp)))
-                 + positive_word(tuple(v) + tuple(up)))
-        ans = reverses_to_empty(p, check)
+        ans = reverses_to_empty(p, inverse_product(tuple(u) + vp, tuple(v) + up))
         if ans == "no":
             return "violated"
         if ans == "unknown":
@@ -338,10 +361,6 @@ class Certificate:
                 "detail": self.detail}
 
 
-def _letters(colour: str) -> tuple:
-    return ((colour, 1),)
-
-
 def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str):
     """The word [(x1\\y1)\\(x1\\z1)] \\ [(y1\\x1)\\(y1\\z1)], or None when undefined."""
     def comp(uw, vw):
@@ -350,13 +369,8 @@ def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str):
         res = complement(p, uw, vw)
         return None if res is None else res[0]
 
-    xy = comp(_letters(x), _letters(y))
-    xz = comp(_letters(x), _letters(z))
-    yx = comp(_letters(y), _letters(x))
-    yz = comp(_letters(y), _letters(z))
-    left = comp(xy, xz)
-    right = comp(yx, yz)
-    return comp(left, right)
+    x1, y1, z1 = ((x, 1),), ((y, 1),), ((z, 1),)
+    return comp(comp(comp(x1, y1), comp(x1, z1)), comp(comp(y1, x1), comp(y1, z1)))
 
 
 @functools.cache
@@ -372,34 +386,27 @@ def is_complete(p: SkeinPresentation) -> Certificate:
         if len(p.colours) <= 2:
             return Certificate("complete", "complemented-small",
                                {"colours": len(p.colours)})
-        for x in p.colours:
-            for y in p.colours:
-                for z in p.colours:
-                    if len({x, y, z}) != 3:
-                        continue
-                    try:
-                        e = complemented_cube_word(p, x, y, z)
-                    except oracle.BudgetExceeded:
-                        return Certificate("unknown", "complemented-cube-budget",
-                                           {"triple": [x, y, z]})
-                    if e:
-                        return Certificate(
-                            "incomplete", "complemented-cube",
-                            {"triple": [x, y, z], "word": render_word(e)})
+        for x, y, z in itertools.permutations(p.colours, 3):
+            try:
+                e = complemented_cube_word(p, x, y, z)
+            except oracle.BudgetExceeded:
+                return Certificate("unknown", "complemented-cube-budget",
+                                   {"triple": [x, y, z]})
+            if e:
+                return Certificate("incomplete", "complemented-cube",
+                                   {"triple": [x, y, z], "word": render_word(e)})
         return Certificate("complete", "complemented-cube", {})
     if all(lhs[0] != rhs[0] for lhs, rhs in p.relations):
         unknown = None
-        for x in p.colours:
-            for y in p.colours:
-                for z in p.colours:
-                    if z == x or z == y:
-                        continue
-                    ans = scc_at(p, _letters(x), _letters(y), _letters(z))
-                    if ans == "violated":
-                        return Certificate("incomplete", "scc-at-generators",
-                                           {"triple": [x, y, z]})
-                    if ans == "unknown":
-                        unknown = [x, y, z]
+        for x, y, z in itertools.product(p.colours, repeat=3):
+            if z == x or z == y:
+                continue
+            ans = scc_at(p, ((x, 1),), ((y, 1),), ((z, 1),))
+            if ans == "violated":
+                return Certificate("incomplete", "scc-at-generators",
+                                   {"triple": [x, y, z]})
+            if ans == "unknown":
+                unknown = [x, y, z]
         if unknown:
             return Certificate("unknown", "scc-budget", {"triple": unknown})
         return Certificate("complete", "scc-at-generators", {})
@@ -412,16 +419,10 @@ def decide_left_cancellative(p: SkeinPresentation) -> Certificate:
     """yes / no / unknown with a certificate naming the deciding branch."""
     refute_bound = SearchBounds().lc_refute_bound
     comp = is_complete(p)
-    if comp.verdict == "complete":
-        ok = True
-        for tail_l, tail_r in _rules(p).same_root:
-            ans = words_equal(p, tail_l, tail_r)
-            if ans != "yes":
-                ok = False
-                break
-        if ok:
-            return Certificate("yes", "complete-no-shared-head",
-                              {"completeness": comp.criterion})
+    if comp.verdict == "complete" and all(
+            words_equal(p, tail_l, tail_r) == "yes" for tail_l, tail_r in _rules(p).same_root):
+        return Certificate("yes", "complete-no-shared-head",
+                           {"completeness": comp.criterion})
     ce = oracle.refute_left_cancellative(p, refute_bound)
     if ce is not None:
         return Certificate("no", "oracle-counterexample",
@@ -446,12 +447,11 @@ def ore_via_closed_family(p: SkeinPresentation) -> Certificate:
             return Certificate("unknown", "shape-mismatch",
                                {"reason": "relation with equal root colours"})
         pairs.setdefault(frozenset((a, b)), []).append((lhs, rhs))
-    for a_i, a in enumerate(p.colours):
-        for b in p.colours[a_i + 1:]:
-            rels = pairs.get(frozenset((a, b)), [])
-            if len(rels) != 1:
-                return Certificate("unknown", "shape-mismatch",
-                                   {"reason": f"{len(rels)} relations for pair ({a},{b})"})
+    for a, b in itertools.combinations(p.colours, 2):
+        rels = pairs.get(frozenset((a, b)), [])
+        if len(rels) != 1:
+            return Certificate("unknown", "shape-mismatch",
+                               {"reason": f"{len(rels)} relations for pair ({a},{b})"})
     for lw, rw in skein_relation_words(p):
         if len(lw) != 2 or len(rw) != 2:
             return Certificate("unknown", "shape-mismatch",

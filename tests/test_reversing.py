@@ -162,8 +162,7 @@ def test_reversing_soundness_against_oracle(cleary, rng):
     for _ in range(300):
         t, s = rng.choice(trees), rng.choice(trees)
         wt, ws = word_from_tree(t), word_from_tree(s)
-        out = rv.reverse(cleary, rv.inverse_word(rv.positive_word(wt))
-                         + rv.positive_word(ws))
+        out = rv.reverse(cleary, rv.inverse_product(wt, ws))
         assert out.terminated
         left = compose((t,), forest_from_word(out.result[0], len(wt) + 1))
         right = compose((s,), forest_from_word(out.result[1], len(ws) + 1))
@@ -205,6 +204,52 @@ def test_budget_exhaustion_is_a_status(cleary):
 def test_index_ceiling(cleary):
     out = rv.reverse(cleary, sw("a64^-1 b1"), ReversingBudget(index_ceiling=64))
     assert out.status == "budget_exhausted"
+    out = rv.reverse(cleary, sw("a64^-1 b1"), ReversingBudget(index_ceiling=65))
+    assert out.status == "terminated"
+    assert out.result == ((("b", 1),), (("a", 65),))
+    # the shift that grows the positive letter
+    out = rv.reverse(cleary, sw("a1^-1 b64"), ReversingBudget(index_ceiling=64))
+    assert (out.status, out.steps) == ("budget_exhausted", 0)
+    out = rv.reverse(cleary, sw("a1^-1 b64"), ReversingBudget(index_ceiling=65))
+    assert out.result == ((("b", 65),), (("a", 1),))
+
+
+def test_index_ceiling_branching(rebel):
+    # the branching engine counts the refused move as a step
+    out = rv.reverse(rebel, sw("a64^-1 b1"), ReversingBudget(index_ceiling=64))
+    assert (out.status, out.terminals, out.steps) == ("budget_exhausted", (), 1)
+    out = rv.reverse(rebel, sw("a64^-1 b1"), ReversingBudget(index_ceiling=65))
+    assert (out.status, out.terminals, out.steps) == \
+        ("terminated", (((("b", 1),), (("a", 65),)),), 1)
+
+
+def test_index_ceiling_skein_move(cleary, notlc):
+    # a_i^-1 b_i -> a_i b_{i+1}^-1 on cleary: b_{i+1} must fit under the ceiling
+    at = ReversingBudget(index_ceiling=64)
+    out = rv.reverse(cleary, sw("a63^-1 b63"), at)
+    assert out.result == ((("a", 63),), (("b", 64),))
+    out = rv.reverse(cleary, sw("a64^-1 b64"), at)
+    assert (out.status, out.steps) == ("budget_exhausted", 0)
+    out = rv.reverse(cleary, sw("a64^-1 b64"), ReversingBudget(index_ceiling=65))
+    assert out.result == ((("a", 64),), (("b", 65),))
+    # notlc has two moves at equal index; only the one that grows is refused
+    out = rv.reverse(notlc, sw("a64^-1 b64"), at)
+    assert (out.status, out.terminals, out.steps) == \
+        ("budget_exhausted", (((("b", 64),), (("a", 64),)),), 2)
+    out = rv.reverse(notlc, sw("a64^-1 b64"), ReversingBudget(index_ceiling=65))
+    assert (out.status, out.terminals, out.steps) == \
+        ("branching", (((("a", 65),), (("b", 65),)), ((("b", 64),), (("a", 64),))), 2)
+
+
+def test_input_letters_above_the_ceiling_may_be_deleted(cleary, rebel):
+    # input letters are not checked against the ceiling; only grown ones are
+    at = ReversingBudget(index_ceiling=64)
+    for p in (cleary, rebel):
+        out = rv.reverse(p, sw("a100^-1 a100"), at)
+        assert (out.status, out.terminals, out.steps) == ("empty", (((), ()),), 1)
+    out = rv.reverse(cleary, sw("b1 a100^-1 a100 a2"), at)
+    assert (out.status, out.result, out.steps) == \
+        ("terminated", ((("b", 1), ("a", 2)), ()), 1)
 
 
 def test_branching_status(notlc):
@@ -224,3 +269,43 @@ def test_branching_budget_exhaustion_keeps_terminals(rebel):
     assert set(cut.terminals) < set(full.terminals)
     # a terminal reached before the budget ran out still decides
     assert rv.reverses_to_empty(rebel, w, ReversingBudget(steps=4)) == "yes"
+
+
+# Outcomes of seeded reversals, recorded before the letter coding of the
+# reversing engine changed from tuples to signed ints.  Any change in a
+# status, a terminal, its order or a step count changes the digest.
+PINNED_OUTCOMES = "87a0fe54ea6f0629d83862157df7a203a8b61938b2be707a87f045ca2e5d0614"
+
+
+def _pinned_reversals():
+    from forestskein import corpus
+    from forestskein.ore_spine import build_f_tau
+    rng = random.Random(9)
+    tree = tree_from_word(parse_word("x1 x1 x3"))
+    ftau3 = build_f_tau({"a": tree, "b": tree, "c": tree}).presentation
+    presentations = [corpus.load(n) for n in corpus.names()] + [ftau3]
+    budgets = (ReversingBudget(), ReversingBudget(steps=30),
+               ReversingBudget(index_ceiling=6), ReversingBudget(branch_cap=20))
+
+    def word(p, n):
+        return tuple((rng.choice(p.colours), rng.randint(1, 4)) for _ in range(n))
+
+    for p in presentations:
+        for budget in budgets:
+            for k in range(30):
+                u, v = word(p, rng.randint(1, 5)), word(p, rng.randint(1, 5))
+                if k % 3 == 0:
+                    w = rv.inverse_word(rv.positive_word(u)) + rv.positive_word(v)
+                elif k % 3 == 1:
+                    w = rv.positive_word(u) + rv.inverse_word(rv.positive_word(v))
+                else:
+                    w = tuple((c, i, rng.choice((1, -1)))
+                              for c, i in word(p, rng.randint(2, 8)))
+                yield rv.reverse(p, w, budget)
+
+
+def test_reversal_outcomes_pinned():
+    import hashlib
+    text = "\n".join(repr((out.status, out.terminals, out.steps))
+                     for out in _pinned_reversals())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTCOMES
