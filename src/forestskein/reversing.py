@@ -153,7 +153,7 @@ class _Rules:
 
     def split(self, word) -> tuple:
         """Decode a pattern-free word into (positive prefix, positive suffix word)."""
-        cut = bisect.bisect(word, False, key=(0).__gt__)    # the count of positive codes
+        cut = bisect.bisect(word, False, key=(0).__gt__)    # positives come first
         letter = self.letters.__getitem__
         return tuple(map(letter, word[:cut])), tuple(map(letter, reversed(word[cut:])))
 
