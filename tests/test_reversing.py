@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from forestskein import oracle, reversing as rv
+from forestskein import corpus, oracle, reversing as rv
 from forestskein.config import ReversingBudget
 from forestskein.forest import (
     forest_from_word,
@@ -14,6 +15,7 @@ from forestskein.forest import (
     trees_with_carets,
     word_from_tree,
 )
+from forestskein.ore_spine import build_f_tau
 from forestskein.presentation import parse
 
 
@@ -115,7 +117,6 @@ def test_is_complete_examples(cleary, ternary, notlc, rebel):
 
 
 def test_is_complete_f_tau_three_colours():
-    from forestskein.ore_spine import build_f_tau
     comp = tree_from_word(parse_word("x1 x1 x3"))
     p = build_f_tau({"a": comp, "b": comp, "c": comp}).presentation
     assert rv.is_complete(p).verdict == "complete"
@@ -278,8 +279,6 @@ PINNED_OUTCOMES = "87a0fe54ea6f0629d83862157df7a203a8b61938b2be707a87f045ca2e5d0
 
 
 def _pinned_reversals():
-    from forestskein import corpus
-    from forestskein.ore_spine import build_f_tau
     rng = random.Random(9)
     tree = tree_from_word(parse_word("x1 x1 x3"))
     ftau3 = build_f_tau({"a": tree, "b": tree, "c": tree}).presentation
@@ -305,7 +304,6 @@ def _pinned_reversals():
 
 
 def test_reversal_outcomes_pinned():
-    import hashlib
     text = "\n".join(repr((out.status, out.terminals, out.steps))
                      for out in _pinned_reversals())
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTCOMES
