@@ -31,7 +31,8 @@ from pathlib import Path
 
 WORKLOADS = ("sweep", "query", "census")
 TRACED = ("oracle.saturate.calls", "oracle.forests", "forest.self_s",
-          "ordered_action.scan_per_normalize", "reversing.us_per_call")
+          "ordered_action.scan_per_normalize", "ordered_action.normalize.calls",
+          "fractions.witness.calls", "reversing.us_per_call")
 _DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown)\s+(\S+)$")
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 HERE = Path(__file__).resolve().parent.parent

@@ -18,7 +18,7 @@ import click
 from . import corpus, fractions, group_presentation as gp, ordered_action as oa
 from . import ore_spine, reversing
 from .config import SearchBounds, SpineBounds
-from .forest import ForestError, leaf_count, parse_tree, render_tree
+from .forest import ForestError, leaf_count, parse_tree, render_tree, tree_colours
 from .presentation import PresentationError, SkeinPresentation, is_complemented, parse, render
 from .reports import RunReport, Verdict
 
@@ -200,7 +200,11 @@ def _parse_element(p: SkeinPresentation, text: str, base: str, bound: int):
     m = _FRACTION_RE.match(text)
     if m:
         try:
-            return fractions.GroupElement(parse_tree(m.group(1)), parse_tree(m.group(2)), p)
+            num, den = parse_tree(m.group(1)), parse_tree(m.group(2))
+            unknown = (tree_colours(num) | tree_colours(den)) - set(p.colours)
+            if unknown:
+                raise ValueError(f"unknown colour {min(unknown)!r}")
+            return fractions.GroupElement(num, den, p)
         except ValueError as e:
             raise CliError(str(e))
     try:
@@ -244,6 +248,8 @@ def eval(source, exprs, bound, colour, as_json):
     """Evaluate group words or fraction literals; `EXPR eq EXPR` compares."""
     p = load_presentation(source)
     base = colour or p.colours[0]
+    if base not in p.colours:
+        raise CliError(f"unknown base colour {base!r}")
     bound = bound or SearchBounds().fraction_bound
     parts = list(exprs)
     report = RunReport("eval", p)

@@ -298,36 +298,42 @@ def divide(f: Forest, g: Forest) -> Optional[Forest]:
 
 def prunable_carets(t: Tree) -> list:
     """(first leaf position, colour) of carets whose children are both leaves."""
-    out = []
-
-    def walk(node, start):
+    out, start, stack = [], 1, [t]
+    while stack:
+        node = stack.pop()
         if node is None:
-            return start + 1
-        c, l, r = node
-        if l is None and r is None:
-            out.append((start, c))
-            return start + 2
-        mid = walk(l, start)
-        return walk(r, mid)
-
-    walk(t, 1)
+            start += 1
+        elif node[1] is None and node[2] is None:
+            out.append((start, node[0]))
+            start += 2
+        else:
+            stack.append(node[2])
+            stack.append(node[1])
     return out
 
 
 def strip_caret(t: Tree, pos: int) -> Tree:
     """Remove the prunable caret whose leaves sit at (pos, pos+1)."""
-    def walk(node, start):
+    path, start, stack = [], 1, [(t, 0, 0)]   # path: [vertex, side taken] down to the node
+    while stack:
+        node, depth, side = stack.pop()
+        del path[depth:]
+        if depth:
+            path[-1][1] = side
         if node is None:
-            return LEAF, start + 1
-        c, l, r = node
-        if l is None and r is None and start == pos:
-            return LEAF, start + 2
-        nl, mid = walk(l, start)
-        nr, end = walk(r, mid)
-        return (c, nl, nr), end
-
-    new, _ = walk(t, 1)
-    return new
+            start += 1
+        elif node[1] is None and node[2] is None:
+            if start == pos:
+                new = LEAF
+                for (c, l, r), went_right in reversed(path):
+                    new = (c, l, new) if went_right else (c, new, r)
+                return new
+            start += 2
+        else:
+            path.append([node, 0])
+            stack.append((node[2], depth + 1, 1))
+            stack.append((node[1], depth + 1, 0))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +456,13 @@ def trees_with_carets(colours: tuple, k: int) -> list:
                 for r in rights:
                     out.append((c, l, r))
     return out
+
+
+@functools.cache
+def trees_in_key_order(colours: tuple, k: int) -> list:
+    """`trees_with_carets(colours, k)` sorted by `tree_key` under the order of `colours`."""
+    rank = {c: i for i, c in enumerate(colours)}
+    return sorted(trees_with_carets(colours, k), key=lambda t: tree_key(t, rank))
 
 
 def forests_with_carets(colours, roots: int, k: int) -> Iterator[Forest]:

@@ -209,11 +209,12 @@ def descend(p: SkeinPresentation, start: tuple, key, prune,
     """
     seen = {start}
     frontier = [start]
-    best = start
+    best, best_key = start, key(start)
     while frontier:
         state = frontier.pop()
-        if key(state) < key(best):
-            best = state
+        state_key = key(state)
+        if state_key < best_key:
+            best, best_key = state, state_key
         trees, tag = state
         variants = [state]
         if p.relations:

@@ -17,6 +17,7 @@ permutation parts as functions, making `act` a left action.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +36,7 @@ from .forest import (
     render_tree,
     strip_caret,
     tree_key,
-    trees_with_carets,
+    trees_in_key_order,
 )
 from .presentation import SkeinPresentation
 from . import fractions, oracle
@@ -138,7 +139,11 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
     Pruning and in-class rewriting (`oracle.descend`) shrink the pair first.
     On complemented complete presentations the result is then made canonical
     by scanning candidate trees in key order and taking the first pair that
-    is point-equal, which the reversing join decides exactly; elsewhere the
+    is point-equal, which the reversing join decides exactly.  Each candidate
+    costs one Ore witness (f, f2) with cand . f ~ best . f2: the matching
+    leaf j' is the one with j'^f == j^f2, read off `leaf_starts(f)` by
+    bisection (the starts increase strictly, so j' is unique), and a
+    candidate whose witness is unresolved is skipped.  Elsewhere the
     shrunken pair is returned (descents can miss representatives reachable
     only through a detour, so it is canonical only up to that caveat).
     """
@@ -161,16 +166,23 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
     k = caret_count(best_t)
     if k == 0 or not fractions.uses_reversing(p) or k > _EXACT_SCAN_CAP:
         return OrderedPoint(best_t, best_j, p)
+    bound = SearchBounds().fraction_bound
+    best_key = tree_key(best_t, rank)
     for carets in range(k + 1):
-        for cand in sorted(trees_with_carets(p.colours, carets),
-                           key=lambda s: tree_key(s, rank)):
-            if carets == k and tree_key(cand, rank) > tree_key(best_t, rank):
+        for cand in trees_in_key_order(p.colours, carets):
+            if cand == best_t:
+                return OrderedPoint(best_t, best_j, p)
+            if carets == k and tree_key(cand, rank) > best_key:
                 break
-            for leaf in range(1, leaf_count(cand) + 1):
-                if (cand, leaf) == (best_t, best_j):
-                    return OrderedPoint(best_t, best_j, p)
-                if raw_points_equal(p, (cand, leaf), (best_t, best_j)) is True:
-                    return OrderedPoint(cand, leaf, p)
+            try:
+                f, f2 = fractions.common_multiple_witness(p, cand, best_t, bound)
+            except fractions.Unresolved:
+                continue
+            target = leaf_starts(f2)[best_j - 1]
+            starts = leaf_starts(f)
+            i = bisect.bisect_left(starts, target)
+            if i < len(starts) and starts[i] == target:
+                return OrderedPoint(cand, i + 1, p)
     return OrderedPoint(best_t, best_j, p)
 
 

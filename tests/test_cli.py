@@ -110,6 +110,17 @@ def test_eval_unequal_fraction_sides_exit_2():
     assert "equal leaf counts" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ("[c(I,I) ; a(I,I)]", "eq", "[a(I,I) ; a(I,I)]"),          # colour of a fraction literal
+    ("a1 a2^-1", "--colour", "z"),                              # base colour
+])
+def test_eval_unknown_colour_exit_2(args):
+    res = run("eval", "cleary", *args)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "unknown" in res.output
+
+
 def test_qspace_compare_and_act():
     res = run("qspace", "free1", "compare", "a(I,I):1", "a(I,I):2")
     assert "LT" in res.output

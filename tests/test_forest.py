@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -21,6 +22,7 @@ from forestskein.forest import (
     parse_forest,
     parse_tree,
     parse_word,
+    prunable_carets,
     random_forest,
     random_tree,
     render_forest,
@@ -28,6 +30,7 @@ from forestskein.forest import (
     render_word,
     rewrite_at,
     root_count,
+    strip_caret,
     tensor,
     tree_from_word,
     trees_with_carets,
@@ -259,3 +262,30 @@ def test_word_literals():
     assert render_word(letters) == "a1 b2 a3"
     with pytest.raises(ForestError):
         parse_word("a1 %%")
+
+
+def test_prune_helpers_leave_no_cyclic_garbage():
+    t = parse_tree("a(b(I,I),a(I,b(I,I)))")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            for pos, _colour in prunable_carets(t):
+                strip_caret(t, pos)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_prune_helpers_on_a_deep_tree():
+    # A 3,000-level zigzag; the only prunable caret is the deepest one.
+    depth = 3000
+    t = LEAF
+    for i in range(depth):
+        t = ("a", t, LEAF) if i % 2 else ("b", LEAF, t)
+    assert prunable_carets(t) == [(depth // 2, "b")]
+    stripped = strip_caret(t, depth // 2)
+    want = LEAF
+    for i in range(1, depth):
+        want = ("a", want, LEAF) if i % 2 else ("b", LEAF, want)
+    assert word_from_tree(stripped) == word_from_tree(want)

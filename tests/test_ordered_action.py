@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from forestskein import fractions as fr, ordered_action as oa
+from forestskein import corpus, fractions as fr, ordered_action as oa
 from forestskein.config import OracleBudget
 from forestskein.forest import (
     LEAF,
@@ -15,6 +16,7 @@ from forestskein.forest import (
     random_forest,
     random_tree,
     tree_from_word,
+    tree_key,
     trees_with_carets,
 )
 
@@ -98,6 +100,46 @@ def test_grow_then_normalize_round_trip(cleary, rng):
                           rng.randrange(0, 4))
         gt, gj = oa.grow_point(cleary, seed, g)
         assert oa.normalize_point(cleary, gt, gj) == seed
+
+
+# Normal forms of seeded points, recorded before the exact scan computed one
+# Ore witness per candidate tree.  cleary, free1, ternary and gn3 end in the
+# exact scan; rebel and notlc are not complemented and complete, so they stop
+# after the descent.  Any change in a normal form changes the digest.
+PINNED_POINTS = "1ac866d792612842d4bbc7d93d672eb67d425fc238199405100cdd9c543473e1"
+
+
+def test_normalize_point_pinned():
+    rng = random.Random(10)
+    out = []
+    for name in ("cleary", "free1", "ternary", "gn3", "rebel", "notlc"):
+        p = corpus.load(name)
+        for _ in range(150):
+            t = random_tree(rng, p.colours, rng.randint(0, 6))
+            out.append(oa.normalize_point(p, t, rng.randint(1, leaf_count(t))).render())
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == PINNED_POINTS
+
+
+def test_scan_computes_one_witness_per_candidate(cleary, rng, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return witness(*args)
+
+    witness = fr.common_multiple_witness
+    monkeypatch.setattr(fr, "common_multiple_witness", counting)
+    rank = cleary.colour_rank
+    scanned = 0
+    for _ in range(30):
+        t = random_tree(rng, cleary.colours, rng.randrange(2, 6))
+        x = oa.normalize_point(cleary, t, rng.randrange(1, leaf_count(t) + 1))
+        # the scan visits candidates in (carets, key) order and stops at x.tree
+        order = [s for k in range(leaf_count(x.tree))
+                 for s in sorted(trees_with_carets(cleary.colours, k),
+                                 key=lambda s: tree_key(s, rank))]
+        scanned += order.index(x.tree) + 1
+    assert 0 < len(calls) <= scanned
 
 
 def test_compare_same_tree(free1):
