@@ -314,25 +314,22 @@ def prunable_carets(t: Tree) -> list:
 
 def strip_caret(t: Tree, pos: int) -> Tree:
     """Remove the prunable caret whose leaves sit at (pos, pos+1)."""
-    path, start, stack = [], 1, [(t, 0, 0)]   # path: [vertex, side taken] down to the node
+    start, stack = 1, [(t, None)]     # (node, (parent, went right, parent's link))
     while stack:
-        node, depth, side = stack.pop()
-        del path[depth:]
-        if depth:
-            path[-1][1] = side
+        node, up = stack.pop()
         if node is None:
             start += 1
         elif node[1] is None and node[2] is None:
             if start == pos:
                 new = LEAF
-                for (c, l, r), went_right in reversed(path):
+                while up is not None:
+                    (c, l, r), went_right, up = up
                     new = (c, l, new) if went_right else (c, new, r)
                 return new
             start += 2
         else:
-            path.append([node, 0])
-            stack.append((node[2], depth + 1, 1))
-            stack.append((node[1], depth + 1, 0))
+            stack.append((node[2], (node, True, up)))
+            stack.append((node[1], (node, False, up)))
     return t
 
 

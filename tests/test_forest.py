@@ -277,6 +277,21 @@ def test_prune_helpers_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def same_tree(a, b):
+    """Structural equality without recursion (== on deep tuples recurses)."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is None or y is None:
+            if x is not y:
+                return False
+        elif x[0] != y[0]:
+            return False
+        else:
+            stack += [(x[1], y[1]), (x[2], y[2])]
+    return True
+
+
 def test_prune_helpers_on_a_deep_tree():
     # A 3,000-level zigzag; the only prunable caret is the deepest one.
     depth = 3000
@@ -288,4 +303,5 @@ def test_prune_helpers_on_a_deep_tree():
     want = LEAF
     for i in range(1, depth):
         want = ("a", want, LEAF) if i % 2 else ("b", LEAF, want)
-    assert word_from_tree(stripped) == word_from_tree(want)
+    assert same_tree(stripped, want)
+    assert not same_tree(stripped, t)

@@ -121,13 +121,12 @@ def test_normalize_point_pinned():
 
 
 def test_scan_computes_one_witness_per_candidate(cleary, rng, monkeypatch):
-    calls = []
+    witness, calls = fr.common_multiple_witness, []
 
     def counting(*args):
         calls.append(args)
         return witness(*args)
 
-    witness = fr.common_multiple_witness
     monkeypatch.setattr(fr, "common_multiple_witness", counting)
     rank = cleary.colour_rank
     scanned = 0
