@@ -30,9 +30,9 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("sweep", "query", "census")
-TRACED = ("oracle.saturate.calls", "oracle.forests", "forest.self_s",
+TRACED = ("oracle.saturate.calls", "oracle.strata", "oracle.forests", "forest.self_s",
           "ordered_action.scan_per_normalize", "ordered_action.normalize.calls",
-          "fractions.witness.calls", "reversing.us_per_call")
+          "fractions.witness.calls", "reversing.us_per_call", "snf.self_s")
 _DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown)\s+(\S+)$")
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 HERE = Path(__file__).resolve().parent.parent

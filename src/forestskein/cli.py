@@ -195,15 +195,21 @@ def present(source, mode, max_index, colour, fmt, abelian, as_json):
 _FRACTION_RE = re.compile(r"\[\s*(.+?)\s*;\s*(.+?)\s*\]$")
 
 
+def _tree_over(p: SkeinPresentation, text: str):
+    """A tree literal whose colours all belong to p; ValueError otherwise."""
+    t = parse_tree(text)
+    unknown = tree_colours(t) - set(p.colours)
+    if unknown:
+        raise ValueError(f"unknown colour {min(unknown)!r}")
+    return t
+
+
 def _parse_element(p: SkeinPresentation, text: str, base: str, bound: int):
     text = text.strip()
     m = _FRACTION_RE.match(text)
     if m:
         try:
-            num, den = parse_tree(m.group(1)), parse_tree(m.group(2))
-            unknown = (tree_colours(num) | tree_colours(den)) - set(p.colours)
-            if unknown:
-                raise ValueError(f"unknown colour {min(unknown)!r}")
+            num, den = _tree_over(p, m.group(1)), _tree_over(p, m.group(2))
             return fractions.GroupElement(num, den, p)
         except ValueError as e:
             raise CliError(str(e))
@@ -300,7 +306,7 @@ def _parse_perm_element(p, text: str) -> oa.PermutationElement:
     if len(parts) not in (2, 3):
         raise CliError("element literal is [tree ; perm ; tree]")
     try:
-        num, den = parse_tree(parts[0]), parse_tree(parts[-1])
+        num, den = _tree_over(p, parts[0]), _tree_over(p, parts[-1])
         if len(parts) == 2:
             return oa.from_fraction(fractions.GroupElement(num, den, p))
         return oa.PermutationElement(num, _parse_perm(parts[1], leaf_count(num)), den, p)
@@ -309,8 +315,10 @@ def _parse_perm_element(p, text: str) -> oa.PermutationElement:
 
 
 def _parse_point(p, text: str) -> oa.OrderedPoint:
+    """A normalized point from `tree-literal:leaf` over p's colours."""
+    tree_text, _, leaf_text = text.rpartition(":")
     try:
-        return oa.point(p, text)
+        return oa.normalize_point(p, _tree_over(p, tree_text), int(leaf_text))
     except ValueError as e:
         raise CliError(f"bad point literal {text!r}: {e}")
 
@@ -376,8 +384,8 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
         if len(args) != 1:
             raise CliError("stabilizer needs a tree literal")
         try:
-            t = parse_tree(args[0])
-        except ForestError as e:
+            t = _tree_over(p, args[0])
+        except ValueError as e:
             raise CliError(str(e))
         stab = oa.stabilizer_generators(p, t)
         pts = stab.points()

@@ -6,9 +6,9 @@ common congruence class.  Two interchangeable strategies provide them:
   * reversing, when the presentation is complemented and complete — the
     complement (s\\s', s'\\s) is a witness pair and equality of trees is
     decided by reversing a quotient word to the empty word;
-  * the congruence oracle, by scanning saturated strata for a common upper
-    bound.  Exact but bounded; the two strategies are cross-checked in the
-    test suite.
+  * the congruence oracle, by reading the classes of the extensions of one
+    tree, level by level, until the other tree divides one.  Exact but
+    bounded; the two strategies are cross-checked in the test suite.
 
 Witness searches are semidecidable, so a bound exhaustion surfaces as the
 `Unresolved` exception rather than a false answer.
@@ -101,21 +101,15 @@ def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree, bound: int) 
         if out.status == "blocked":
             raise Unresolved("no common multiple: reversal blocked (Ore fails here)")
         raise Unresolved("witness reversal exceeded its budget")
-    base = max(caret_count(t), caret_count(s))
-    for k in range(base, bound + 1):
+    a, b = (t, s) if caret_count(t) >= caret_count(s) else (s, t)
+    for k in range(caret_count(a), bound + 1):
         try:
-            table = oracle.saturate(p, 1, k)
+            classes = oracle.multiple_classes(p, (a,), k)
         except oracle.BudgetExceeded:
             break
-        for cls in table.classes:
-            if caret_count(cls[0][0]) != k:
-                continue
-            f = oracle.divide_class((t,), cls)
-            if f is None:
-                continue
-            f2 = oracle.divide_class((s,), cls)
-            if f2 is not None:
-                return f, f2
+        for cls in classes:
+            if oracle.divide_class((b,), cls) is not None:
+                return oracle.divide_class((t,), cls), oracle.divide_class((s,), cls)
     raise Unresolved(f"no common multiple of {render_tree(t)} and {render_tree(s)} "
                      f"within caret bound {bound}")
 

@@ -8,16 +8,17 @@ class order, the spine's monochromatic representatives and `descend`
 (behind both normal forms) go through it.  It searches the class from the
 forest itself, rewriting every relation at every occurrence in both
 directions until nothing new appears, and memoizes the sorted class under
-each of its members.
+each of its members.  `multiple_classes` reads, class by class, the
+multiples of a forest x at one caret level: those of every extension x . g.
+The bounded Ore and mcm queries and the oracle's Ore witness use it.
 
-`saturate` serves whole-stratum questions: it enumerates a stratum, applies
-every relation at every occurrence, and closes with a union-find.  Its
-tables are the ground truth against which the reversing engine and the
-class search are checked, and they power the bounded left-cancellativity,
-Ore, and mcm queries.
+`saturate` enumerates a whole stratum, applies every relation at every
+occurrence, and closes with a union-find.  Its tables are the ground truth
+against which the reversing engine and the class search are checked, and
+they power the bounded left-cancellativity refutation.
 
-Both refuse a read by the closed-form size of the stratum (`_admit`), so
-one budget governs a class and the stratum that holds it.
+All of them refuse a read by the closed-form size of the stratum (`_admit`),
+so one budget governs a class and the stratum that holds it.
 
 Absent/no-failure answers here are evidence up to the stated bound, never
 proofs; callers must carry the bound along with the verdict.
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 
 from .config import OracleBudget
 from .forest import (
+    LEAF,
     Forest,
     Tree,
     caret,
@@ -147,9 +149,7 @@ def _build(p: SkeinPresentation, roots: int, carets: int) -> CongruenceTable:
 def equivalent(p: SkeinPresentation, f: Forest, g: Forest) -> bool:
     if len(f) != len(g) or forest_leaf_count(f) != forest_leaf_count(g):
         return False
-    if f == g:
-        return True
-    return g in class_members(p, f)
+    return f == g or g in class_members(p, f)
 
 
 def class_members(p: SkeinPresentation, f: Forest,
@@ -161,6 +161,10 @@ def class_members(p: SkeinPresentation, f: Forest,
     the class exactly, and `forest_key` (injective) orders it as the table does.
     """
     _admit(p, len(f), forest_caret_count(f), budget or OracleBudget())
+    return _search_class(p, f)
+
+
+def _search_class(p: SkeinPresentation, f: Forest) -> list:
     cached = _classes.get((p, f))
     if cached is not None:
         return cached
@@ -180,6 +184,25 @@ def class_members(p: SkeinPresentation, f: Forest,
     for member in members:
         _classes[(p, member)] = members
     return members
+
+
+def multiple_classes(p: SkeinPresentation, x: Forest, k: int) -> list:
+    """The classes with exactly k carets that x divides, in table order; may raise BudgetExceeded.
+
+    A member x . g of such a class has g among the forests with x's leaves
+    as roots and the remaining carets, so the class of each x . g is read
+    and no stratum is built.  Admitted like the stratum (len(x), <= k).
+    """
+    _admit(p, len(x), k, OracleBudget())
+    classes, seen = [], set()
+    for g in forests_with_carets(p.colours, forest_leaf_count(x), k - forest_caret_count(x)):
+        xg = compose(x, g)
+        if xg not in seen:
+            members = _search_class(p, xg)
+            seen.update(members)
+            classes.append(members)
+    rank = p.colour_rank
+    return sorted(classes, key=lambda c: forest_key(c[0], rank))
 
 
 def divide_class(f: Forest, members) -> Forest | None:
@@ -296,28 +319,20 @@ class OreReport:
 def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int) -> OreReport:
     """Look for a common upper bound for every pair of small trees.
 
-    One pass over the big stratum records, for each small representative,
-    the set of classes it divides; a pair fails when those sets are disjoint.
+    Each small class representative gets the set of classes up to the search
+    bound that it divides; a pair fails when those sets are disjoint.
     """
     if pair_bound > search_bound:
         raise ValueError("pair_bound must be <= search_bound")
-    small = saturate(p, 1, pair_bound)
-    big = saturate(p, 1, search_bound)
-    reps = [cls[0] for cls in small.classes if cls[0][0] is not None]
-    above: list = [set() for _ in reps]
-    for cid, members in enumerate(big.classes):
-        for member in members:
-            for k, x in enumerate(reps):
-                if cid not in above[k] and divide(x, member) is not None:
-                    above[k].add(cid)
-    failures = []
-    checked = 0
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            checked += 1
-            if not (above[i] & above[j]):
-                failures.append((render_forest(reps[i]), render_forest(reps[j])))
-    return OreReport(pair_bound, search_bound, failures, checked)
+    _admit(p, 1, search_bound, OracleBudget())
+    reps = [cls[0] for k in range(1, pair_bound + 1)
+            for cls in multiple_classes(p, (LEAF,), k)]
+    above = [{cls[0] for k in range(forest_caret_count(x), search_bound + 1)
+              for cls in multiple_classes(p, x, k)} for x in reps]
+    pairs = list(itertools.combinations(range(len(reps)), 2))
+    failures = [(render_forest(reps[i]), render_forest(reps[j]))
+                for i, j in pairs if not above[i] & above[j]]
+    return OreReport(pair_bound, search_bound, failures, len(pairs))
 
 
 def mcm_bounded(p: SkeinPresentation, x: Tree, y: Tree, bound: int) -> list:
@@ -329,18 +344,9 @@ def mcm_bounded(p: SkeinPresentation, x: Tree, y: Tree, bound: int) -> list:
     """
     if equivalent(p, (x,), (y,)):
         raise ValueError("mcm is defined for distinct classes")
-    table = saturate(p, 1, bound)
-    commons = []
-    for cls in table.classes:
-        z = cls[0]
-        if caret_count(z[0]) < max(caret_count(x), caret_count(y)):
-            continue
-        if class_leq(p, (x,), z) is not None and \
-           class_leq(p, (y,), z) is not None:
-            commons.append(z)
-    minimal = []
-    for z in commons:
-        if any(w != z and class_leq(p, w, z) is not None for w in commons):
-            continue
-        minimal.append(z)
-    return minimal
+    _admit(p, 1, bound, OracleBudget())
+    a, b = (x, y) if caret_count(x) >= caret_count(y) else (y, x)
+    commons = [cls[0] for k in range(caret_count(a), bound + 1)
+               for cls in multiple_classes(p, (a,), k) if divide_class((b,), cls) is not None]
+    return [z for z in commons
+            if not any(w != z and class_leq(p, w, z) is not None for w in commons)]

@@ -30,7 +30,6 @@ from .forest import (
     compose,
     leaf_count,
     leaf_starts,
-    parse_tree,
     prunable_carets,
     random_tree,
     render_tree,
@@ -208,12 +207,6 @@ def grow_point(p: SkeinPresentation, x: OrderedPoint, f: Forest) -> tuple:
     if len(f) != leaf_count(x.tree):
         raise ValueError("growth forest root count must match the leaf count")
     return compose((x.tree,), f)[0], leaf_image(f, x.leaf)
-
-
-def point(p: SkeinPresentation, text: str) -> OrderedPoint:
-    """Parse `tree-literal:leaf` into a normalized point."""
-    tree_text, _, leaf_text = text.rpartition(":")
-    return normalize_point(p, parse_tree(tree_text), int(leaf_text))
 
 
 def compare(x: OrderedPoint, y: OrderedPoint, bound: int | None = None) -> Optional[str]:

@@ -142,6 +142,19 @@ def test_qspace_bad_literals_exit_2(args):
     assert "Error:" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ("compare", "c(I,I):1", "a(I,I):1"),                      # point literal
+    ("act", "[c(I,I);id;a(I,I)]", "a(I,I):1"),                # element literal
+    ("stabilizer", "c(I,I)"),                                 # tree literal
+])
+def test_qspace_unknown_colour_exit_2(args):
+    res = run("qspace", "cleary", *args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "unknown colour 'c'" in res.output
+
+
 def test_qspace_transitivity():
     res = run("qspace", "cleary", "transitivity", "--k", "2", "--samples", "3")
     assert res.exit_code == 0

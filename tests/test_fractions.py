@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from forestskein import fractions as fr, oracle
+from forestskein import corpus, fractions as fr, oracle
 from forestskein.config import OracleBudget
 from forestskein.forest import (
     caret,
@@ -12,6 +13,7 @@ from forestskein.forest import (
     parse_tree,
     parse_word,
     random_tree,
+    render_forest,
     tree_from_word,
     trees_with_carets,
 )
@@ -190,3 +192,52 @@ def test_colouring_injective_small(cleary):
     for i, g in enumerate(reduced):
         for h in reduced[i + 1:]:
             assert fr.equals(g, h) is False, (g.render(), h.render())
+
+
+# sha256 of the oracle-route witnesses below, recorded when the route still
+# scanned saturated strata; reading classes of extensions must not move them
+PINNED_WITNESSES = "4653d70400e65b2780be52b332abf0d0da0929a8e13462981bc8255a98ff2fcc"
+
+
+def _pinned_witnesses():
+    rng = random.Random(2011)
+    out = []
+    for name in ("notlc", "rebel"):
+        p = corpus.load(name)
+        assert not fr.uses_reversing(p)
+        for _ in range(75):
+            t, s = (random_tree(rng, p.colours, rng.randrange(5)) for _ in range(2))
+            bound = max(caret_count(t), caret_count(s)) + rng.randrange(3)
+            try:
+                f, f2 = fr.common_multiple_witness(p, t, s, bound)
+                out.append(f"{render_forest(f)} {render_forest(f2)}")
+            except fr.Unresolved:
+                out.append("Unresolved")
+    return out
+
+
+def test_oracle_witnesses_pinned():
+    out = _pinned_witnesses()
+    assert 0 < out.count("Unresolved") < len(out)
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == PINNED_WITNESSES
+
+
+def test_oracle_witness_and_ore_check_build_no_stratum(notlc, rebel, monkeypatch):
+    tables = dict(oracle._tables)
+
+    def refuse(*args):
+        raise AssertionError("a stratum was built")
+
+    monkeypatch.setattr(oracle, "saturate", refuse)
+    monkeypatch.setattr(oracle, "_build", refuse)
+    rng = random.Random(5)
+    for p in (notlc, rebel):
+        for _ in range(20):
+            t, s = (random_tree(rng, p.colours, rng.randrange(4)) for _ in range(2))
+            try:
+                fr.common_multiple_witness(p, t, s, 6)
+            except fr.Unresolved:
+                pass
+        oracle.check_ore_bounded(p, 2, 5)
+    oracle.mcm_bounded(notlc, caret("a"), caret("b"), 5)
+    assert oracle._tables == tables

@@ -117,6 +117,34 @@ def test_single_class_reads_build_no_stratum(cleary, notlc, monkeypatch):
         oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
 
 
+def test_multiple_classes_match_the_table(cleary, free2, notlc, rebel):
+    # the classes read from the extensions of x are the table's classes at
+    # level k that x divides, in table order
+    for p in (cleary, free2, notlc, rebel):
+        table = oracle.saturate(p, 1, 5)
+        for k in range(6):
+            level = [cls for cls in table.classes if forest_caret_count(cls[0]) == k]
+            for x in (t for j in range(4) for t in trees_with_carets(p.colours, j)):
+                want = [cls for cls in level if oracle.divide_class((x,), cls) is not None]
+                assert oracle.multiple_classes(p, (x,), k) == want
+
+
+def test_multiple_classes_refused_like_the_stratum(cleary, monkeypatch):
+    requests = []
+    real = oracle.forests_with_carets
+
+    def recording(colours, roots, k):
+        requests.append(k)
+        return real(colours, roots, k)
+
+    monkeypatch.setattr(oracle, "forests_with_carets", recording)
+    with pytest.raises(oracle.BudgetExceeded, match=r"<= 9 carets\) exceeds 1000000 forests"):
+        oracle.multiple_classes(cleary, (caret("a"),), 9)
+    with pytest.raises(oracle.BudgetExceeded, match=r"<= 9 carets\) exceeds 1000000 forests"):
+        oracle.check_ore_bounded(cleary, 1, 9)
+    assert requests == []
+
+
 def test_refute_left_cancellative(cleary, notlc, free2):
     ce = oracle.refute_left_cancellative(notlc, 3)
     assert ce is not None
