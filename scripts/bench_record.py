@@ -31,7 +31,7 @@ from pathlib import Path
 
 WORKLOADS = ("sweep", "query", "census")
 TRACED = ("oracle.saturate.calls", "oracle.strata", "oracle.forests", "forest.self_s",
-          "ordered_action.scan_per_normalize", "ordered_action.normalize.calls",
+          "reversing.reversals", "ordered_action.normalize.calls", "ordered_action.self_s",
           "fractions.witness.calls", "reversing.us_per_call", "snf.self_s")
 _DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown)\s+(\S+)$")
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")

@@ -314,6 +314,13 @@ def _parse_perm_element(p, text: str) -> oa.PermutationElement:
         raise CliError(f"bad element literal {text!r}: {e}")
 
 
+def _act_or_none(g, x, bound):
+    try:
+        return oa.act(g, x, bound)
+    except fractions.Unresolved:
+        return None         # no Ore witness fits the bound
+
+
 def _parse_point(p, text: str) -> oa.OrderedPoint:
     """A normalized point from `tree-literal:leaf` over p's colours."""
     tree_text, _, leaf_text = text.rpartition(":")
@@ -389,11 +396,12 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
             raise CliError(str(e))
         stab = oa.stabilizer_generators(p, t)
         pts = stab.points()
-        orbit = [oa.act(stab.cyclic, x, bound).render() for x in pts]
+        images = [_act_or_none(stab.cyclic, x, bound) for x in pts]
+        orbit = ["unresolved" if y is None else y.render() for y in images]
         fixed = 0
         for _ in range(samples):
             fx = oa.sample_fixer(p, t, rng)
-            if all(oa.act(fx, x, bound) == x for x in pts):
+            if all(_act_or_none(fx, x, bound) == x for x in pts):
                 fixed += 1
         report.data["cyclic_orbit"] = orbit
         report.data["fixers_verified"] = fixed

@@ -337,9 +337,14 @@ def strip_caret(t: Tree, pos: int) -> Tree:
 # Text literals: trees `I` / `c(left,right)`, forests `[t, t]`, words `a1 a1`
 
 def render_tree(t: Tree) -> str:
-    if t is None:
-        return "I"
-    return f"{t[0]}({render_tree(t[1])},{render_tree(t[2])})"
+    out, stack = [], [t]      # pending subtrees and literal text, last first
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            stack += (")", node[2], ",", node[1], node[0] + "(")
+        else:
+            out.append("I" if node is None else node)
+    return "".join(out)
 
 
 def render_forest(f: Forest) -> str:
@@ -378,15 +383,20 @@ class _Scanner:
 
 
 def _parse_tree(sc: _Scanner) -> Tree:
-    name = sc.ident()
-    if name == "I":
-        return LEAF
-    sc.expect("(")
-    left = _parse_tree(sc)
-    sc.expect(",")
-    right = _parse_tree(sc)
-    sc.expect(")")
-    return (name, left, right)
+    open_carets = []          # [colour] before the comma, [colour, left] after it
+    while True:
+        while (name := sc.ident()) != "I":
+            sc.expect("(")
+            open_carets.append([name])
+        t = LEAF
+        while open_carets and len(open_carets[-1]) == 2:
+            colour, left = open_carets.pop()
+            sc.expect(")")
+            t = (colour, left, t)
+        if not open_carets:
+            return t
+        open_carets[-1].append(t)
+        sc.expect(",")
 
 
 def parse_tree(text: str) -> Tree:

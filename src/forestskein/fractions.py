@@ -168,7 +168,7 @@ def normal_form(g: GroupElement, bound: int | None = None,
 
     def key(state):
         (t, s), _ = state
-        return (caret_count(t), tree_key(t, rank), tree_key(s, rank))
+        return tree_key(t, rank), tree_key(s, rank)
 
     def prune(state):
         (t, s), _ = state

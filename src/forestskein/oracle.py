@@ -227,31 +227,34 @@ def descend(p: SkeinPresentation, start: tuple, key, prune,
 
     A state is (trees, tag): rewriting replaces the trees by any combination
     of their class members and keeps the tag; `prune(state)` yields the
-    caret-stripping moves.  Without relations, or over budget, only pruning
-    moves are taken and the result may miss representatives behind a rewrite.
+    caret-stripping moves.  A state shares its combinations with each of them,
+    so the first popped expands them all, and each is keyed and pruned once.
+    Over budget, only pruning moves are taken and the result may miss
+    representatives behind a rewrite.  Without relations, one prune chain is
+    followed: its end is the least state when `key` starts with the caret
+    count and pruning is confluent, as in both callers (distinct prunable
+    carets are disjoint and commute, and a strip the distinguished leaf forbids
+    stays forbidden after any other strip).
     """
-    seen = {start}
-    frontier = [start]
-    best, best_key = start, key(start)
+    if not p.relations:
+        while (nxt := next(prune(start), None)) is not None:
+            start = nxt
+        return start
+    expanded, frontier = set(), [start]
     while frontier:
         state = frontier.pop()
-        state_key = key(state)
-        if state_key < best_key:
-            best, best_key = state, state_key
+        if state in expanded:
+            continue
         trees, tag = state
-        variants = [state]
-        if p.relations:
-            try:
-                variants = [(combo, tag) for combo in itertools.product(
-                    *([m[0] for m in class_members(p, (t,), budget)] for t in trees))]
-            except BudgetExceeded:
-                pass
+        try:
+            variants = [(combo, tag) for combo in itertools.product(
+                *([m[0] for m in class_members(p, (t,), budget)] for t in trees))]
+        except BudgetExceeded:
+            variants = [state]
+        expanded.update(variants)
         for variant in variants:
-            for nxt in (variant, *prune(variant)):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return best
+            frontier.extend(prune(variant))
+    return min(expanded, key=key)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ permutation parts as functions, making `act` a left action.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +38,7 @@ from .forest import (
     trees_in_key_order,
 )
 from .presentation import SkeinPresentation
-from . import fractions, oracle
+from . import fractions, oracle, reversing
 
 Perm = tuple
 
@@ -133,18 +133,18 @@ _EXACT_SCAN_CAP = 6
 
 def normalize_point(p: SkeinPresentation, t: Tree, j: int,
                     oracle_budget: OracleBudget | None = None) -> OrderedPoint:
-    """The least (carets, canonical word, leaf) representative of the class.
+    """The least (canonical word, leaf) representative of the class.
 
     Pruning and in-class rewriting (`oracle.descend`) shrink the pair first.
     On complemented complete presentations the result is then made canonical
     by scanning candidate trees in key order and taking the first pair that
     is point-equal, which the reversing join decides exactly.  Each candidate
-    costs one Ore witness (f, f2) with cand . f ~ best . f2: the matching
-    leaf j' is the one with j'^f == j^f2, read off `leaf_starts(f)` by
-    bisection (the starts increase strictly, so j' is unique), and a
-    candidate whose witness is unresolved is skipped.  Elsewhere the
-    shrunken pair is returned (descents can miss representatives reachable
-    only through a detour, so it is canonical only up to that caveat).
+    costs one reversal, read as the block starts of the Ore witness (f, f2)
+    with cand . f ~ best . f2 (`reversing.multiple_leaf_starts`): the matching
+    leaf j' has j'^f == j^f2 (the starts increase strictly, so j' is unique),
+    and a candidate whose reversal blocks or runs over budget is skipped.
+    Elsewhere the shrunken pair is returned (descents can miss representatives
+    reachable only through a detour, so it is canonical only up to that caveat).
     """
     if not 1 <= j <= leaf_count(t):
         raise ValueError(f"leaf {j} out of range 1..{leaf_count(t)}")
@@ -152,7 +152,7 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
 
     def key(state):
         (tree,), leaf = state
-        return (caret_count(tree), tree_key(tree, rank), leaf)
+        return tree_key(tree, rank), leaf
 
     def prune(state):
         (tree,), leaf = state
@@ -165,23 +165,13 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
     k = caret_count(best_t)
     if k == 0 or not fractions.uses_reversing(p) or k > _EXACT_SCAN_CAP:
         return OrderedPoint(best_t, best_j, p)
-    bound = SearchBounds().fraction_bound
-    best_key = tree_key(best_t, rank)
-    for carets in range(k + 1):
-        for cand in trees_in_key_order(p.colours, carets):
-            if cand == best_t:
-                return OrderedPoint(best_t, best_j, p)
-            if carets == k and tree_key(cand, rank) > best_key:
-                break
-            try:
-                f, f2 = fractions.common_multiple_witness(p, cand, best_t, bound)
-            except fractions.Unresolved:
-                continue
-            target = leaf_starts(f2)[best_j - 1]
-            starts = leaf_starts(f)
-            i = bisect.bisect_left(starts, target)
-            if i < len(starts) and starts[i] == target:
-                return OrderedPoint(cand, i + 1, p)
+    for cand in itertools.chain.from_iterable(
+            trees_in_key_order(p.colours, carets) for carets in range(k + 1)):
+        if cand == best_t:
+            break
+        starts = reversing.multiple_leaf_starts(p, cand, best_t)
+        if starts is not None and (target := starts[1][best_j - 1]) in starts[0]:
+            return OrderedPoint(cand, starts[0].index(target) + 1, p)
     return OrderedPoint(best_t, best_j, p)
 
 

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .config import ReversingBudget, SearchBounds
-from .forest import parse_word, render_word
+from .forest import parse_word, render_word, word_from_tree
 from .presentation import SkeinPresentation, is_complemented, skein_relation_words
 from . import oracle
 
@@ -107,7 +107,8 @@ class _Rules:
     (a, b) of an equal-index pattern a^-1 b to its moves in exploration
     order (the deletion first when a = b), each a code tuple with its largest
     magnitude; filled on first use, it holds at most C² entries per index
-    reached.  `letters` decodes a signed code.
+    reached.  `letters` decodes a signed code, and `trees` codes the canonical
+    word of a tree (the point scan's, of at most `_EXACT_SCAN_CAP` carets).
     """
 
     def __init__(self, p: SkeinPresentation):
@@ -119,6 +120,7 @@ class _Rules:
         self.templates, self.same_root = {}, []
         self.skein = _Table(self._skein_moves)
         self.letters = _Table(lambda a: (self.colours[abs(a) % self.C], abs(a) // self.C - 1))
+        self.trees = _Table(lambda t: self.encode(positive_word(word_from_tree(t))))
         for lw, rw in words:
             x, y = lw[0][0], rw[0][0]
             tail_l, tail_r = lw[1:], rw[1:]
@@ -187,10 +189,12 @@ def reverse(p: SkeinPresentation, w: SignedWord,
     budget = budget or ReversingBudget()
     rules = _rules(p)
     engine = _reverse_det if rules.deterministic else _reverse_branching
-    return engine(rules, rules.encode(w), budget)
+    status, words, steps = engine(rules, rules.encode(w), budget)
+    return ReversalOutcome(status, tuple(map(rules.split, words)), steps)
 
 
-def _reverse_det(rules: _Rules, w: tuple, budget: ReversingBudget) -> ReversalOutcome:
+def _reverse_det(rules: _Rules, w: tuple, budget: ReversingBudget) -> tuple:
+    """(status, terminal code words, steps) of the one reversal run of w."""
     C, skein, max_steps = rules.C, rules.skein, budget.steps
     limit = (budget.index_ceiling + 2) * C      # the least code above the ceiling
     word = list(w)
@@ -199,25 +203,25 @@ def _reverse_det(rules: _Rules, w: tuple, budget: ReversingBudget) -> ReversalOu
         while k < end and not word[k] < 0 < word[k + 1]:
             k += 1
         if k >= end:
-            return ReversalOutcome("terminated" if word else "empty", (rules.split(word),), steps)
+            return "terminated" if word else "empty", (word,), steps
         if steps >= max_steps:
-            return ReversalOutcome("budget_exhausted", (), steps)
+            return "budget_exhausted", (), steps
         a, b = -word[k], word[k + 1]
         i, j = a // C, b // C
         if i < j:                   # only the grown letter can cross the ceiling
             if b + C >= limit:
-                return ReversalOutcome("budget_exhausted", (), steps)
+                return "budget_exhausted", (), steps
             word[k], word[k + 1] = b + C, -a
         elif i > j:
             if a + C >= limit:
-                return ReversalOutcome("budget_exhausted", (), steps)
+                return "budget_exhausted", (), steps
             word[k], word[k + 1] = b, -a - C
         else:
             moves = skein[a, b]
             if not moves:
-                return ReversalOutcome("blocked", (), steps)
+                return "blocked", (), steps
             if moves[0][1] >= limit:
-                return ReversalOutcome("budget_exhausted", (), steps)
+                return "budget_exhausted", (), steps
             word[k:k + 2] = moves[0][0]
             end = len(word) - 1
         steps += 1
@@ -225,7 +229,7 @@ def _reverse_det(rules: _Rules, w: tuple, budget: ReversingBudget) -> ReversalOu
             k -= 1
 
 
-def _reverse_branching(rules: _Rules, w: tuple, budget: ReversingBudget) -> ReversalOutcome:
+def _reverse_branching(rules: _Rules, w: tuple, budget: ReversingBudget) -> tuple:
     C, skein, max_steps, cap = rules.C, rules.skein, budget.steps, budget.branch_cap
     limit = (budget.index_ceiling + 2) * C
     seen, full = {w}, cap < 1        # full: more words seen than the branch cap
@@ -273,7 +277,7 @@ def _reverse_branching(rules: _Rules, w: tuple, budget: ReversingBudget) -> Reve
         status = "empty" if not terminals[0] else "terminated"
     else:
         status = "branching" if terminals else "blocked"
-    return ReversalOutcome(status, tuple(map(rules.split, terminals)), steps)
+    return status, terminals, steps
 
 
 def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
@@ -283,6 +287,33 @@ def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
     if ((), ()) in out.terminals:
         return "yes"
     return "unknown" if out.status == "budget_exhausted" else "no"
+
+
+
+def multiple_leaf_starts(p: SkeinPresentation, t, s) -> tuple | None:
+    """`leaf_starts` of both forests of `fractions.common_multiple_witness(p, t, s)`,
+    read off the terminal code word of the one reversal of t^-1 s; None when it
+    blocks or runs over the default budget.  Complemented presentations only."""
+    rules = _rules(p)
+    if not rules.deterministic:
+        raise ValueError("multiple_leaf_starts needs a complemented presentation")
+    u, v = rules.trees[t], rules.trees[s]
+    _status, terminals, _steps = _reverse_det(
+        rules, tuple(-a for a in reversed(u)) + v, ReversingBudget())
+    for word in terminals:          # none when the reversal did not terminate
+        cut = bisect.bisect(word, False, key=(0).__gt__)    # positives come first
+        return (_block_starts(rules.C, word[:cut], len(u) + 1),
+                _block_starts(rules.C, [-a for a in reversed(word[cut:])], len(v) + 1))
+    return None
+
+
+def _block_starts(C: int, codes, roots: int) -> list:
+    """`leaf_starts(forest_from_word(letters, roots))` for coded positive letters."""
+    starts = list(range(roots))
+    for a in codes:     # the letter splits leaf a // C - 2: later blocks move right
+        for b in range(bisect.bisect_right(starts, a // C - 2), roots):
+            starts[b] += 1
+    return starts
 
 
 # ---------------------------------------------------------------------------

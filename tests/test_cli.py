@@ -167,6 +167,26 @@ def test_qspace_stabilizer():
     assert "fixers verified: 4/4" in res.output
 
 
+def vine(levels):
+    return "a(I," * levels + "I" + ")" * levels
+
+
+def test_qspace_stabilizer_unresolved_fixers():
+    # on a 100-level vine the fixers' Ore witnesses pass the reversing index
+    # ceiling; such a fixer is reported as not verified
+    res = run("qspace", "free1", "stabilizer", vine(100), "--samples", "1")
+    assert res.exit_code == 0
+    assert "Traceback" not in res.output
+    assert "fixers verified: 0/1" in res.output
+
+
+def test_qspace_deep_literal():
+    res = run("qspace", "free1", "compare", vine(1500) + ":1", "a(I,I):1")
+    assert res.exit_code == 0
+    assert res.exception is None
+    assert "I:1  EQ  I:1" in res.output
+
+
 def test_examples_emit(tmp_path):
     res = run("examples", "emit", "dv2", "--dir", str(tmp_path))
     assert res.exit_code == 0

@@ -12,6 +12,7 @@ from forestskein.forest import (
     leaf_count,
     parse_tree,
     parse_word,
+    random_forest,
     random_tree,
     render_forest,
     tree_from_word,
@@ -241,3 +242,35 @@ def test_oracle_witness_and_ore_check_build_no_stratum(notlc, rebel, monkeypatch
         oracle.check_ore_bounded(p, 2, 5)
     oracle.mcm_bounded(notlc, caret("a"), caret("b"), 5)
     assert oracle._tables == tables
+
+
+# sha256 of the normal forms below, recorded before `oracle.descend` expanded
+# each state once and followed a single prune chain on relation-free
+# presentations.  Each element grows a smaller pair by a common forest and
+# rewrites its numerator inside its class, so the descent has to prune and
+# rewrite; the second budget refuses cleary classes above 4 carets, so some
+# forms come from the pruning-only fallback and differ.
+PINNED_NORMAL_FORMS = "47e22ae4fa7fcc95fb9ae6bcc49c2807d11eca432d25637d032aaa03e62eb93d"
+
+
+def _pinned_normal_forms():
+    rng = random.Random(14)
+    budgets = (None, OracleBudget(class_cap=300))
+    out = []
+    for name in ("cleary", "ternary", "gn3", "free1", "free2", "rebel", "notlc"):
+        p = corpus.load(name)
+        for _ in range(30):
+            k = rng.randint(1, 3)
+            t, s = (random_tree(rng, p.colours, k) for _ in range(2))
+            f = random_forest(rng, p.colours, k + 1, rng.randint(1, 3))
+            num = rng.choice(oracle.class_members(p, compose((t,), f)))[0]
+            g = elem(p, num, compose((s,), f)[0])
+            out.append(tuple(fr.normal_form(g, oracle_budget=b).render() for b in budgets))
+    return out
+
+
+def test_normal_form_pinned():
+    out = _pinned_normal_forms()
+    assert sum(full != fallback for full, fallback in out) >= 4
+    text = "\n".join(" ".join(pair) for pair in out)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NORMAL_FORMS

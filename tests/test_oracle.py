@@ -271,3 +271,67 @@ def test_ore_report_json(free2):
     assert doc["verdict"] == "failures"
     assert ["[a(I,I)]", "[b(I,I)]"] in doc["failures"]
     assert doc["bounds"] == {"pair_bound": 1, "search_bound": 3}
+
+
+def _descend_calls(monkeypatch):
+    """The (p, start, key, prune) of every descent that both normal forms run
+    on seeded inputs, with the callers' own key and prune functions."""
+    calls, real = [], oracle.descend
+
+    def capture(p, start, key, prune, budget=None):
+        calls.append((p, start, key, prune))
+        return real(p, start, key, prune, budget)
+
+    monkeypatch.setattr(oracle, "descend", capture)
+    rng = random.Random(33)
+    for name in ("cleary", "ternary", "gn3", "free1", "free2", "rebel", "notlc"):
+        p = corpus.load(name)
+        for _ in range(12):
+            k = rng.randint(1, 3)
+            t, s = (random_tree(rng, p.colours, k) for _ in range(2))
+            f = random_forest(rng, p.colours, k + 1, rng.randint(0, 2))
+            num = rng.choice(oracle.class_members(p, compose((t,), f)))[0]
+            normalize_point(p, num, rng.randint(1, k + 1 + forest_caret_count(f)))
+            fractions.normal_form(fractions.GroupElement(num, compose((s,), f)[0], p))
+    monkeypatch.setattr(oracle, "descend", real)
+    return calls
+
+
+def _exhaustive_descend(p, start, key, prune):
+    """Every state reached by single relation rewrites (both directions, any
+    tree) and prune moves, closed up; the least one by key."""
+    seen, stack = {start}, [start]
+    while stack:
+        state = stack.pop()
+        trees, tag = state
+        moves = list(prune(state))
+        for i, t in enumerate(trees):
+            for lhs, rhs in p.relations:
+                for u, u2 in ((lhs, rhs), (rhs, lhs)):
+                    for occ in find_occurrences((t,), u):
+                        new = rewrite_at((t,), occ, u, u2)[0]
+                        moves.append((trees[:i] + (new,) + trees[i + 1:], tag))
+        for nxt in moves:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return min(seen, key=key)
+
+
+def test_descend_matches_exhaustive_search(monkeypatch):
+    calls = _descend_calls(monkeypatch)
+    assert len(calls) == 2 * 7 * 12
+    for p, start, key, prune in calls:
+        assert oracle.descend(p, start, key, prune) == _exhaustive_descend(p, start, key, prune)
+
+
+def test_descend_prunes_each_state_once(monkeypatch):
+    for p, start, key, prune in _descend_calls(monkeypatch):
+        pruned = []
+
+        def counting(state):
+            pruned.append(state)
+            return prune(state)
+
+        oracle.descend(p, start, key, counting)
+        assert len(pruned) == len(set(pruned)), p.name

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from forestskein import corpus, fractions as fr, ordered_action as oa
+from forestskein import corpus, fractions as fr, ordered_action as oa, reversing
 from forestskein.config import OracleBudget
 from forestskein.forest import (
     LEAF,
@@ -121,13 +121,15 @@ def test_normalize_point_pinned():
 
 
 def test_scan_computes_one_witness_per_candidate(cleary, rng, monkeypatch):
-    witness, calls = fr.common_multiple_witness, []
+    # one reversal per candidate tree, read at `reversing.multiple_leaf_starts`
+    starts, calls = reversing.multiple_leaf_starts, []
 
     def counting(*args):
         calls.append(args)
-        return witness(*args)
+        return starts(*args)
 
-    monkeypatch.setattr(fr, "common_multiple_witness", counting)
+    monkeypatch.setattr(reversing, "multiple_leaf_starts", counting)
+    monkeypatch.setattr(fr, "common_multiple_witness", None)    # the scan builds no witness
     rank = cleary.colour_rank
     scanned = 0
     for _ in range(30):

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from forestskein import corpus, oracle, reversing as rv
+from forestskein import corpus, fractions, oracle, reversing as rv
 from forestskein.config import ReversingBudget
 from forestskein.forest import (
     forest_from_word,
     compose,
+    leaf_starts,
     parse_word,
+    random_tree,
     render_word,
     tree_from_word,
     trees_with_carets,
@@ -307,3 +309,30 @@ def test_reversal_outcomes_pinned():
     text = "\n".join(repr((out.status, out.terminals, out.steps))
                      for out in _pinned_reversals())
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTCOMES
+
+
+def test_block_starts_match_the_decoded_forest(ternary):
+    rng = random.Random(8)
+    rules = rv._rules(ternary)
+    for _ in range(2000):
+        roots = rng.randint(1, 5)
+        word = [(rng.choice(ternary.colours), rng.randint(1, roots + n))
+                for n in range(rng.randint(0, 12))]
+        codes = rules.encode(rv.positive_word(word))
+        assert rv._block_starts(rules.C, codes, roots) == \
+            leaf_starts(forest_from_word(word, roots))
+
+
+def test_multiple_leaf_starts_match_the_witness(cleary, ternary, free2, notlc):
+    rng = random.Random(9)
+    for p in (cleary, ternary, free2):
+        for _ in range(300):
+            t, s = (random_tree(rng, p.colours, rng.randrange(7)) for _ in range(2))
+            try:
+                f, f2 = fractions.common_multiple_witness(p, t, s, 14)
+                expected = leaf_starts(f), leaf_starts(f2)
+            except fractions.Unresolved:
+                expected = None
+            assert rv.multiple_leaf_starts(p, t, s) == expected
+    with pytest.raises(ValueError):
+        rv.multiple_leaf_starts(notlc, None, None)
