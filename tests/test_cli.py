@@ -172,8 +172,8 @@ def vine(levels):
 
 
 def test_qspace_stabilizer_unresolved_fixers():
-    # on a 100-level vine the fixers' Ore witnesses pass the reversing index
-    # ceiling; such a fixer is reported as not verified
+    # on a 100-level vine a fixer's Ore witness reversal exceeds the default
+    # reversing budget; such a fixer is reported as not verified
     res = run("qspace", "free1", "stabilizer", vine(100), "--samples", "1")
     assert res.exit_code == 0
     assert "Traceback" not in res.output
