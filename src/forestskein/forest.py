@@ -153,14 +153,30 @@ def elementary(colour: str, j: int, n: int) -> Forest:
 # ---------------------------------------------------------------------------
 # Word codec
 
+def _decode(letters, roots: int, index_error) -> Forest:
+    """The forest of a word over `roots` roots, in one pass: each caret fills
+    the open leaf slot its letter names, and the tuples are built at the end."""
+    slots = list(range(roots))      # open leaf slots, left to right
+    child = [-1] * roots            # slot -> the caret grafted there; -1 is a leaf
+    colours: list = []
+    for colour, idx in letters:
+        if not 1 <= idx <= len(slots):
+            raise ForestError(index_error(idx, len(slots)))
+        s = len(child)              # caret m owns slots roots + 2m and roots + 2m + 1
+        child[slots[idx - 1]] = len(colours)
+        colours.append(colour)
+        child += (-1, -1)
+        slots[idx - 1:idx] = (s, s + 1)
+    built = [LEAF] * (len(colours) + 1)     # built[-1] stays the leaf
+    for m in range(len(colours) - 1, -1, -1):     # children come after their parents
+        s = roots + 2 * m
+        built[m] = (colours[m], built[child[s]], built[child[s + 1]])
+    return tuple(built[c] for c in child[:roots])
+
+
 def tree_from_word(letters) -> Tree:
     """Build a tree from a word of (colour, index) letters, k-th index <= k."""
-    t = (LEAF,)
-    for k, (colour, idx) in enumerate(letters, start=1):
-        if not 1 <= idx <= k:
-            raise ForestError(f"letter {k}: index {idx} out of range 1..{k}")
-        t = compose(t, elementary(colour, idx, k))
-    return t[0]
+    return _decode(letters, 1, lambda idx, k: f"letter {k}: index {idx} out of range 1..{k}")[0]
 
 
 def word_from_tree(t: Tree) -> list:
@@ -185,14 +201,9 @@ def word_from_tree(t: Tree) -> list:
 
 def forest_from_word(letters, roots: int) -> Forest:
     """Decode a monoid word over elementary generators, starting from `roots` roots."""
-    f = trivial_forest(roots)
-    n = roots
-    for colour, idx in letters:
-        if not 1 <= idx <= n:
-            raise ForestError(f"letter index {idx} out of range 1..{n}")
-        f = compose(f, elementary(colour, idx, n))
-        n += 1
-    return f
+    if roots < 1:
+        raise ForestError("a forest needs at least one root")
+    return _decode(letters, roots, lambda idx, n: f"letter index {idx} out of range 1..{n}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ common congruence class.  Two interchangeable strategies provide them:
 
 Witness searches are semidecidable, so a bound exhaustion surfaces as the
 `Unresolved` exception rather than a false answer.
+
+Words in the vine generators b_j, b^_j (`word_to_element`) are evaluated as
+words on reversing presentations: the numerator and denominator stay tree
+words, each letter costs one reversal whose complements extend them, and
+both trees are decoded once at the end.  On the oracle route each letter is
+multiplied in as a pair of trees.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from .forest import (
     Tree,
     caret_count,
     compose,
-    elementary,
     forest_from_word,
     leaf_count,
     prunable_carets,
     render_tree,
     strip_caret,
+    tree_from_word,
     tree_key,
     word_from_tree,
 )
@@ -77,10 +83,11 @@ def uses_reversing(p: SkeinPresentation) -> bool:
 def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree, bound: int) -> bool:
     if leaf_count(t) != leaf_count(s):
         return False
-    if t == s:
+    u, v = word_from_tree(t), word_from_tree(s)    # iterative, unlike tuple ==
+    if u == v:
         return True
     if uses_reversing(p):
-        ans = reversing.words_equal(p, word_from_tree(t), word_from_tree(s))
+        ans = reversing.words_equal(p, u, v)
         if ans == "unknown":
             raise Unresolved("tree equivalence check exceeded the reversing budget")
         return ans == "yes"
@@ -89,18 +96,21 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree, bound: int) -> bool
     return oracle.equivalent(p, (t,), (s,))
 
 
+def _complements(p: SkeinPresentation, u, v) -> tuple:
+    """(u\\v, v\\u) from the one reversal of u^-1 v, or raise Unresolved."""
+    out = reversing.reverse(p, reversing.inverse_product(u, v))
+    if out.terminated:
+        return out.result
+    if out.status == "blocked":
+        raise Unresolved("no common multiple: reversal blocked (Ore fails here)")
+    raise Unresolved("witness reversal exceeded its budget")
+
+
 def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree, bound: int) -> tuple:
     """Forests (f, f') with t . f ~ s . f', or raise Unresolved."""
     if uses_reversing(p):
-        out = reversing.reverse(
-            p, reversing.inverse_product(word_from_tree(t), word_from_tree(s)))
-        if out.terminated:
-            f = forest_from_word(out.result[0], leaf_count(t))
-            f2 = forest_from_word(out.result[1], leaf_count(s))
-            return f, f2
-        if out.status == "blocked":
-            raise Unresolved("no common multiple: reversal blocked (Ore fails here)")
-        raise Unresolved("witness reversal exceeded its budget")
+        u, v = _complements(p, word_from_tree(t), word_from_tree(s))
+        return forest_from_word(u, leaf_count(t)), forest_from_word(v, leaf_count(s))
     a, b = (t, s) if caret_count(t) >= caret_count(s) else (s, t)
     for k in range(caret_count(a), bound + 1):
         try:
@@ -187,33 +197,47 @@ def normal_form(g: GroupElement, bound: int | None = None,
 
 def right_vine(p: SkeinPresentation, colour: str, leaves: int) -> Tree:
     """t_n = a_{1,1} a_{2,2} ... a_{n-1,n-1}, the right vine with `leaves` leaves."""
-    t = (LEAF,)
-    for n in range(1, leaves):
-        t = compose(t, elementary(colour, n, n))
-    return t[0]
+    return tree_from_word([(colour, n) for n in range(1, leaves)])
+
+
+def _generator_words(base_colour: str, colour: str, index: int, hatted: bool) -> tuple:
+    """Tree words of `generator_element`: the denominator is the vine t_top, the
+    numerator t_{top-1} with a `colour` caret at leaf j (top = j + 1 when hatted)."""
+    den = tuple((base_colour, n) for n in range(1, index + (1 if hatted else 2)))
+    return den[:-1] + ((colour, index),), den
 
 
 def generator_element(p: SkeinPresentation, base_colour: str, colour: str,
                       index: int, hatted: bool) -> GroupElement:
     """b_j -> [t_{j+1} b_{j,j+1}, t_{j+2}];  b^_j -> [t_j b_{j,j}, t_{j+1}]."""
-    j = index
-    if hatted:
-        num = compose((right_vine(p, base_colour, j),), elementary(colour, j, j))[0]
-        return GroupElement(num, right_vine(p, base_colour, j + 1), p)
-    num = compose((right_vine(p, base_colour, j + 1),), elementary(colour, j, j + 1))[0]
-    return GroupElement(num, right_vine(p, base_colour, j + 2), p)
+    num, den = _generator_words(base_colour, colour, index, hatted)
+    return GroupElement(tree_from_word(num), tree_from_word(den), p)
 
 
 def word_to_element(letters, base_colour: str, p: SkeinPresentation,
                     bound: int | None = None) -> GroupElement:
-    """Evaluate a signed word of (colour, index, hatted, sign) letters in G."""
+    """Evaluate a signed word of (colour, index, hatted, sign) letters in G.
+
+    With reversing, the numerator and denominator stay tree words: a letter
+    [n, d] costs one reversal of D^-1 n, D the denominator so far, whose
+    complements extend the numerator and d; both trees are decoded once at
+    the end.  Otherwise each letter is multiplied in as a pair of trees.
+    """
     bound = bound or SearchBounds().fraction_bound
-    out = identity(p)
+    words = uses_reversing(p)
+    out, num, den = identity(p), (), ()
     for colour, index, hatted, sign in letters:
         if colour not in p.colours:
             raise ValueError(f"unknown colour {colour!r}")
-        e = generator_element(p, base_colour, colour, index, hatted)
-        if sign < 0:
-            e = invert(e)
-        out = multiply(out, e, bound)
+        if words:
+            n, d = _generator_words(base_colour, colour, index, hatted)
+            if sign < 0:
+                n, d = d, n
+            left, right = _complements(p, den, n)
+            num, den = num + left, d + right
+        else:
+            e = generator_element(p, base_colour, colour, index, hatted)
+            out = multiply(out, invert(e) if sign < 0 else e, bound)
+    if words:
+        return GroupElement(tree_from_word(num), tree_from_word(den), p)
     return out

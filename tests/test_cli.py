@@ -187,6 +187,12 @@ def test_qspace_deep_literal():
     assert "I:1  EQ  I:1" in res.output
 
 
+def test_eval_deep_literal():
+    res = run("eval", "free1", f"[{vine(1500)};{vine(1500)}]")
+    assert res.exit_code in (0, 2)
+    assert "Traceback" not in res.output
+
+
 def test_examples_emit(tmp_path):
     res = run("examples", "emit", "dv2", "--dir", str(tmp_path))
     assert res.exit_code == 0

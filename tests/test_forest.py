@@ -16,6 +16,7 @@ from forestskein.forest import (
     find_occurrences,
     forest_caret_count,
     forest_count,
+    forest_from_word,
     forest_leaf_count,
     forests_with_carets,
     leaf_count,
@@ -112,6 +113,49 @@ def test_codec_letters_in_range():
         t = random_tree(rng, COLOURS, 8)
         for k, (_, idx) in enumerate(word_from_tree(t), start=1):
             assert 1 <= idx <= k
+
+
+def compose_decoded(letters, roots):
+    """Reference decoder: one `compose` with an elementary forest per letter."""
+    f, n = (LEAF,) * roots, roots
+    for colour, idx in letters:
+        f = compose(f, elementary(colour, idx, n))
+        n += 1
+    return f
+
+
+def test_one_pass_decoder_matches_compose():
+    rng = random.Random(15)
+    for _ in range(2000):
+        roots = rng.randint(1, 3)
+        word = [(rng.choice("abc"), rng.randint(1, roots + k))
+                for k in range(rng.randint(1, 24))]
+        f = compose_decoded(word, roots)
+        assert forest_from_word(word, roots) == f
+        if roots == 1:
+            assert tree_from_word(word) == f[0]
+
+
+def test_decoder_errors():
+    cases = [
+        (forest_from_word, ([("a", 1), ("b", 4)], 1), "letter index 4 out of range 1..2"),
+        (forest_from_word, ([("a", 0)], 3), "letter index 0 out of range 1..3"),
+        (forest_from_word, ([("a", 1)], 0), "a forest needs at least one root"),
+        (tree_from_word, ([("a", 1), ("b", 3)],), "letter 2: index 3 out of range 1..2"),
+        (tree_from_word, ([("a", 1), ("b", 0)],), "letter 2: index 0 out of range 1..2"),
+    ]
+    for decode, args, message in cases:
+        with pytest.raises(ForestError) as err:
+            decode(*args)
+        assert str(err.value) == message
+
+
+def test_decoder_on_a_deep_vine():
+    t = tree_from_word([("a", n) for n in range(1, 1501)])
+    vine = "a(I," * 1500 + "I" + ")" * 1500
+    assert render_tree(t) == vine
+    f = forest_from_word([("a", n) for n in range(2, 1502)], 2)
+    assert f[0] == LEAF and render_tree(f[1]) == vine
 
 
 def naive_occurrences(f, u):

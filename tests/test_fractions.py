@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from forestskein import corpus, fractions as fr, oracle
+from forestskein import corpus, fractions as fr, group_presentation as gp, oracle, reversing
 from forestskein.config import OracleBudget
 from forestskein.forest import (
     caret,
@@ -15,6 +15,7 @@ from forestskein.forest import (
     random_forest,
     random_tree,
     render_forest,
+    render_tree,
     tree_from_word,
     trees_with_carets,
 )
@@ -274,3 +275,69 @@ def test_normal_form_pinned():
     assert sum(full != fallback for full, fallback in out) >= 4
     text = "\n".join(" ".join(pair) for pair in out)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NORMAL_FORMS
+
+
+# sha256 of `word_to_element` on the words below, recorded while every letter
+# was still multiplied in as a pair of trees: each corpus entry's
+# finite-presentation relators plus seeded random words, on both routes
+PINNED_WORD_ELEMENTS = "61cec69dd3d7dbf5e7b1e1e7b9b024ea788af28ed5014a9204e8a2d6459687dc"
+
+
+def _pinned_word_elements():
+    rng = random.Random(15)
+    out = []
+    for name in corpus.names():
+        p = corpus.load(name)
+        base = p.colours[0]
+        words = [gp.relator_letters(r) for r in gp.finite_presentation(p, base).relators]
+        for _ in range(60):
+            words.append([(rng.choice(p.colours), rng.randint(1, 3), rng.random() < 0.3,
+                           rng.choice((1, -1))) for _ in range(rng.randint(1, 8))])
+        for letters in words:
+            try:
+                g = fr.word_to_element(letters, base, p)
+                out.append(f"{render_tree(g.numerator)} {render_tree(g.denominator)}")
+            except fr.Unresolved as e:
+                out.append(f"Unresolved: {e}")
+    return out
+
+
+def test_word_to_element_pinned():
+    out = _pinned_word_elements()
+    assert 0 < sum(o.startswith("Unresolved") for o in out) < len(out)
+    text = "\n".join(out)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WORD_ELEMENTS
+
+
+def test_word_route_reverses_once_per_letter(cleary, ternary, monkeypatch):
+    assert fr.uses_reversing(cleary) and fr.uses_reversing(ternary)
+    reversals = []
+    reverse = reversing.reverse
+
+    def counted(*args):
+        reversals.append(args)
+        return reverse(*args)
+
+    def refuse(*args):
+        raise AssertionError("a pair of trees was multiplied")
+
+    monkeypatch.setattr(reversing, "reverse", counted)
+    monkeypatch.setattr(fr, "multiply", refuse)
+    monkeypatch.setattr(fr, "common_multiple_witness", refuse)
+    rng = random.Random(8)
+    for p in (cleary, ternary):
+        words = [gp.relator_letters(r) for r in gp.finite_presentation(p, "a").relators]
+        words += [[(rng.choice(p.colours), rng.randint(1, 4), rng.random() < 0.3,
+                    rng.choice((1, -1))) for _ in range(rng.randint(1, 8))]
+                  for _ in range(30)]
+        for letters in words:
+            reversals.clear()
+            fr.word_to_element(letters, "a", p)
+            assert len(reversals) == len(letters)
+
+
+def test_deep_right_vine(free1):
+    t = fr.right_vine(free1, "a", 1501)
+    assert render_tree(t) == "a(I," * 1500 + "I" + ")" * 1500
+    g = fr.generator_element(free1, "a", "a", 1499, False)
+    assert leaf_count(g.numerator) == leaf_count(g.denominator) == 1501

@@ -41,3 +41,14 @@ def test_census_smoke(monkeypatch, capsys):
     notlc = rows["notlc"]
     assert (notlc["complete"], notlc["lc"], notlc["f_infinity"]) == \
         ("incomplete", "no", "unknown")
+
+
+def test_bench_record_calibration(monkeypatch):
+    bench = load_script("bench_record")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a benchmark run was started")
+
+    monkeypatch.setattr(bench.subprocess, "run", refuse)
+    seconds = bench.calibration_s(repeats=3, n=1000)
+    assert isinstance(seconds, float) and 0 < seconds < 1
