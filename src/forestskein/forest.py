@@ -116,12 +116,23 @@ def leaf_starts(f: Forest) -> list:
 
 def graft(t: Tree, subs: list, pos: int = 0) -> tuple:
     """Replace the leaves of t, left to right, by subs[pos:]; returns (tree, next pos)."""
-    if t is None:
-        return subs[pos], pos + 1
-    c, l, r = t
-    nl, pos = graft(l, subs, pos)
-    nr, pos = graft(r, subs, pos)
-    return (c, nl, nr), pos
+    done, stack = [], [t]       # grafted subtrees; trees to graft and colours to join
+    while stack:
+        node = stack.pop()
+        if node is None:
+            done.append(subs[pos])
+            pos += 1
+        elif type(node) is str:     # both subtrees of a caret of this colour are done
+            right = done.pop()
+            done[-1] = (node, done[-1], right)
+        else:
+            c, left, right = node
+            if left is None is right:
+                done.append((c, subs[pos], subs[pos + 1]))
+                pos += 2
+            else:
+                stack += (c, right, left)
+    return done[0], pos
 
 
 def compose(f: Forest, g: Forest) -> Forest:

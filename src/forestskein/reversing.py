@@ -16,6 +16,13 @@ procedure is deterministic; otherwise every move is explored exhaustively.
 Words are letter tuples at the interface and signed ints inside the loops,
 with the equal-index moves read from a per-presentation table (`_Rules`).
 
+Only `reverse` decodes its terminals into pairs of positive words; the
+complements (`complement`, `scc_at`, and the callers in `fractions` and
+`ore_spine`) read them from there.  `reverses_to_empty`, `words_equal` and
+`left_divides` ask only whether some terminal meets a goal (the empty word,
+or a word with no negative letter), so they answer on the code words
+without decoding, and the branching search stops at its first witness.
+
 The strong cube condition, completeness, left-cancellativity and the
 closed-family Ore criterion are all expressed over this engine.  Positive
 answers from the completeness-based criteria are proofs; the refutation
@@ -181,12 +188,13 @@ def _derived_pairs(words) -> list:
 
 
 _rules = functools.cache(_Rules)
+_DEFAULT_BUDGET = ReversingBudget()
 
 
 def reverse(p: SkeinPresentation, w: SignedWord,
             budget: ReversingBudget | None = None) -> ReversalOutcome:
     """Reverse w: deterministically when p is complemented, else by exhaustive search."""
-    budget = budget or ReversingBudget()
+    budget = budget or _DEFAULT_BUDGET
     rules = _rules(p)
     engine = _reverse_det if rules.deterministic else _reverse_branching
     status, words, steps = engine(rules, rules.encode(w), budget)
@@ -229,7 +237,14 @@ def _reverse_det(rules: _Rules, w: tuple, budget: ReversingBudget) -> tuple:
             k -= 1
 
 
-def _reverse_branching(rules: _Rules, w: tuple, budget: ReversingBudget) -> tuple:
+def _reverse_branching(rules: _Rules, w: tuple, budget: ReversingBudget,
+                       goal=None) -> tuple:
+    """(status, terminal code words, steps) of the exhaustive search from w.
+
+    With a goal (a predicate on terminal code words) the search returns
+    ("witness", [word], steps) at the first terminal that meets it; up to
+    there it pops and pushes exactly as the full search does.
+    """
     C, skein, max_steps, cap = rules.C, rules.skein, budget.steps, budget.branch_cap
     limit = (budget.index_ceiling + 2) * C
     seen, full = {w}, cap < 1        # full: more words seen than the branch cap
@@ -243,6 +258,8 @@ def _reverse_branching(rules: _Rules, w: tuple, budget: ReversingBudget) -> tupl
         while k < end and not cur[k] < 0 < cur[k + 1]:
             k += 1
         if k >= end:
+            if goal is not None and goal(cur):
+                return "witness", [cur], steps
             terminals.append(cur)
             continue
         a, b = -cur[k], cur[k + 1]
@@ -280,13 +297,40 @@ def _reverse_branching(rules: _Rules, w: tuple, budget: ReversingBudget) -> tupl
     return status, terminals, steps
 
 
+def _empty(word) -> bool:
+    return not word
+
+
+def _positive(word) -> bool:
+    """No negative letter: a pattern-free word keeps its negatives at the end."""
+    return not word or word[-1] > 0
+
+
+def _decide(rules: _Rules, w: tuple, budget: ReversingBudget | None, goal) -> str:
+    """'yes' when some terminal code word of w meets goal, else 'unknown' when
+    the budget ran out, else 'no'.  Nothing is decoded."""
+    budget = budget or _DEFAULT_BUDGET
+    if rules.deterministic:
+        status, words, _steps = _reverse_det(rules, w, budget)
+    else:
+        status, words, _steps = _reverse_branching(rules, w, budget, goal)
+    if any(map(goal, words)):
+        return "yes"
+    return "unknown" if status == "budget_exhausted" else "no"
+
+
+def _quotient_codes(rules: _Rules, u, v) -> tuple:
+    """The code word of u^-1 v for positive words u, v."""
+    C, rank = rules.C, rules.rank
+    return tuple(-((i + 1) * C + rank[c]) for c, i in reversed(u)) + \
+        tuple((i + 1) * C + rank[c] for c, i in v)
+
+
 def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
                       budget: ReversingBudget | None = None) -> str:
     """'yes' when some reversal run of w reaches the empty word, 'no', or 'unknown'."""
-    out = reverse(p, w, budget)
-    if ((), ()) in out.terminals:
-        return "yes"
-    return "unknown" if out.status == "budget_exhausted" else "no"
+    rules = _rules(p)
+    return _decide(rules, rules.encode(w), budget, _empty)
 
 
 
@@ -342,10 +386,8 @@ def left_divides(p: SkeinPresentation, u, v,
     Via reversing: u^-1 v must reverse to a purely positive word.  "yes" is
     sound always; "no" is conclusive only for complete presentations.
     """
-    out = reverse(p, inverse_product(u, v), budget)
-    if any(not right for _, right in out.terminals):
-        return "yes"
-    return "unknown" if out.status == "budget_exhausted" else "no"
+    rules = _rules(p)
+    return _decide(rules, _quotient_codes(rules, u, v), budget, _positive)
 
 
 def words_equal(p: SkeinPresentation, u, v,
@@ -359,7 +401,8 @@ def words_equal(p: SkeinPresentation, u, v,
         return "no"
     if tuple(u) == tuple(v):
         return "yes"
-    return reverses_to_empty(p, inverse_product(u, v), budget)
+    rules = _rules(p)
+    return _decide(rules, _quotient_codes(rules, u, v), budget, _empty)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +435,24 @@ class Certificate:
                 "detail": self.detail}
 
 
+def _left_complement(p: SkeinPresentation, u, v):
+    """u\\v, or None when either word or the complement is undefined."""
+    if u is None or v is None:
+        return None
+    res = complement(p, u, v)
+    return None if res is None else res[0]
+
+
+def cube_sides(p: SkeinPresentation, x: str, y: str, z: str) -> tuple:
+    """The two sides (x1\\y1)\\(x1\\z1) and (y1\\x1)\\(y1\\z1), each None when undefined."""
+    x1, y1, z1 = ((x, 1),), ((y, 1),), ((z, 1),)
+    return (_left_complement(p, _left_complement(p, x1, y1), _left_complement(p, x1, z1)),
+            _left_complement(p, _left_complement(p, y1, x1), _left_complement(p, y1, z1)))
+
+
 def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str):
     """The word [(x1\\y1)\\(x1\\z1)] \\ [(y1\\x1)\\(y1\\z1)], or None when undefined."""
-    def comp(uw, vw):
-        if uw is None or vw is None:
-            return None
-        res = complement(p, uw, vw)
-        return None if res is None else res[0]
-
-    x1, y1, z1 = ((x, 1),), ((y, 1),), ((z, 1),)
-    return comp(comp(comp(x1, y1), comp(x1, z1)), comp(comp(y1, x1), comp(y1, z1)))
+    return _left_complement(p, *cube_sides(p, x, y, z))
 
 
 @functools.cache
@@ -409,8 +460,11 @@ def is_complete(p: SkeinPresentation) -> Certificate:
     """Tri-state completeness of the elementary-generator presentation.
 
     Complemented presentations are checked through the cube expression at
-    colour triples; presentations whose relations all have distinct root
-    colours through the cube condition at (x1, y1, z1).  Anything else is
+    colour triples: it passes when both sides are undefined or both reduce
+    to a common multiple with an empty complement; a cube defined on one
+    side only, or with sides that have no common multiple, is unknown.
+    Presentations whose relations all have distinct root colours are
+    checked through the cube condition at (x1, y1, z1).  Anything else is
     reported unknown rather than guessed.
     """
     if is_complemented(p):
@@ -419,9 +473,14 @@ def is_complete(p: SkeinPresentation) -> Certificate:
                                {"colours": len(p.colours)})
         for x, y, z in itertools.permutations(p.colours, 3):
             try:
-                e = complemented_cube_word(p, x, y, z)
+                sides = cube_sides(p, x, y, z)
+                e = _left_complement(p, *sides)
             except oracle.BudgetExceeded:
                 return Certificate("unknown", "complemented-cube-budget",
+                                   {"triple": [x, y, z]})
+            if e is None and sides != (None, None):
+                # one side undefined, or two sides without a common multiple
+                return Certificate("unknown", "complemented-cube-partial",
                                    {"triple": [x, y, z]})
             if e:
                 return Certificate("incomplete", "complemented-cube",

@@ -1,5 +1,9 @@
 import collections
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,12 @@ def test_qspace_deep_literal():
     assert "I:1  EQ  I:1" in res.output
 
 
+def test_qspace_act_deep_literal():
+    res = run("qspace", "free1", "act", f"[{vine(1500)};id;{vine(1500)}]", "a(I,I):1")
+    assert res.exit_code == 0
+    assert res.exception is None
+
+
 def test_eval_deep_literal():
     res = run("eval", "free1", f"[{vine(1500)};{vine(1500)}]")
     assert res.exit_code in (0, 2)
@@ -239,3 +249,36 @@ def test_certifiers_run_once_per_presentation(tmp_path, monkeypatch):
     assert reversing.is_complete(q) is reversing.is_complete(p)
     assert reversing.decide_left_cancellative(q) is reversing.decide_left_cancellative(p)
     assert calls == {"scc_at": 1, "refute_left_cancellative": 1}
+
+
+# Complemented three-colour presentations whose cube is defined on one side
+# only: completeness is not established there, and reversing must not be
+# trusted to tell these equal words apart.
+PARTIAL_CUBES = {
+    "rand33": ("colors: a, b, c\nrel: a1 b2 = b1 b1\nrel: a1 = c1\n", "b1 b1", "c1 b2"),
+    "rand73": ("colors: a, b, c\nrel: a1 c1 b2 = b1 b2 b3\nrel: c1 = b1\n",
+               "c1 b2 b3", "a1 b1 b2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_CUBES))
+def test_partial_cube_is_not_complete(name, tmp_path):
+    text, lhs, rhs = PARTIAL_CUBES[name]
+    source = tmp_path / f"{name}.fsk"
+    source.write_text(text)
+    doc = json.loads(run("check", str(source), "--complete", "--json").output)
+    (verdict,) = doc["verdicts"]
+    assert (verdict["verdict"], verdict["certificate"]["criterion"]) == \
+        ("unknown", "complemented-cube-partial")
+    doc = json.loads(run("eval", str(source), lhs, "eq", rhs, "--json").output)
+    (verdict,) = doc["verdicts"]
+    assert (verdict["verdict"], verdict["confidence"]) == ("equal", "proved")
+
+
+def test_python_dash_m():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run([sys.executable, "-m", "forestskein", "examples", "list"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "cleary" in res.stdout

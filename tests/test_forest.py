@@ -19,6 +19,7 @@ from forestskein.forest import (
     forest_from_word,
     forest_leaf_count,
     forests_with_carets,
+    graft,
     leaf_count,
     parse_forest,
     parse_tree,
@@ -349,3 +350,31 @@ def test_prune_helpers_on_a_deep_tree():
         want = ("a", want, LEAF) if i % 2 else ("b", LEAF, want)
     assert same_tree(stripped, want)
     assert not same_tree(stripped, t)
+
+
+def _graft_recursive(t, subs, pos=0):
+    if t is None:
+        return subs[pos], pos + 1
+    c, l, r = t
+    nl, pos = _graft_recursive(l, subs, pos)
+    nr, pos = _graft_recursive(r, subs, pos)
+    return (c, nl, nr), pos
+
+
+def test_graft_matches_the_recursive_definition():
+    rng = random.Random(4)
+    for _ in range(500):
+        t = random_tree(rng, COLOURS, rng.randrange(0, 9))
+        pos = rng.randrange(0, 3)
+        subs = [random_tree(rng, COLOURS, rng.randrange(0, 4))
+                for _ in range(pos + leaf_count(t) + rng.randrange(0, 2))]
+        assert graft(t, subs, pos) == _graft_recursive(t, subs, pos)
+
+
+def test_graft_deep_tree():
+    vine = LEAF
+    for _ in range(5000):
+        vine = ("a", LEAF, vine)
+    grafted, pos = graft(vine, [caret("b")] * 5001)
+    assert pos == 5001
+    assert caret_count(grafted) == 5000 + 5001

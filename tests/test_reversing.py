@@ -18,7 +18,7 @@ from forestskein.forest import (
     word_from_tree,
 )
 from forestskein.ore_spine import build_f_tau
-from forestskein.presentation import parse
+from forestskein.presentation import parse, skein_relation_words
 
 
 def sw(text):
@@ -336,3 +336,118 @@ def test_multiple_leaf_starts_match_the_witness(cleary, ternary, free2, notlc):
             assert rv.multiple_leaf_starts(p, t, s) == expected
     with pytest.raises(ValueError):
         rv.multiple_leaf_starts(notlc, None, None)
+
+
+# The answers of `reverses_to_empty`, `words_equal` and `left_divides` as
+# they were read from decoded terminals before those calls answered on code
+# words.
+
+def _decoded_answer(p, w, budget, divides=False):
+    out = rv.reverse(p, w, budget)
+    if any((not right) if divides else (left, right) == ((), ())
+           for left, right in out.terminals):
+        return "yes"
+    return "unknown" if out.status == "budget_exhausted" else "no"
+
+
+def _decoded_words_equal(p, u, v, budget):
+    if len(u) != len(v):
+        return "no"
+    if tuple(u) == tuple(v):
+        return "yes"
+    return _decoded_answer(p, rv.inverse_product(u, v), budget)
+
+
+RAND33 = "colors: a, b, c\nrel: a1 b2 = b1 b1\nrel: a1 = c1\n"
+
+
+def _exactness_cases():
+    """(presentation, budget, u, v, signed word) over the corpus, f_tau3 and rand33."""
+    rng = random.Random(16)
+    tree = tree_from_word(parse_word("x1 x1 x3"))
+    ftau3 = build_f_tau({"a": tree, "b": tree, "c": tree}).presentation
+    presentations = [corpus.load(n) for n in corpus.names()] + [ftau3, parse(RAND33)]
+    budgets = (ReversingBudget(), ReversingBudget(steps=30),
+               ReversingBudget(index_ceiling=6), ReversingBudget(branch_cap=20))
+
+    def word(p, n):
+        return tuple((rng.choice(p.colours), rng.randint(1, 4)) for _ in range(n))
+
+    def shifted(w, k):
+        return tuple((c, i + k) for c, i in w)
+
+    for p in presentations:
+        relations = list(skein_relation_words(p))
+        for budget in budgets:
+            for k in range(24):
+                u = word(p, rng.randint(1, 5))
+                if k % 4 == 0 or not relations:
+                    v = word(p, len(u) if k % 8 < 4 else rng.randint(1, 5))
+                elif k % 4 == 1:            # equal: one relation applied inside
+                    lw, rw = rng.choice(relations)
+                    x, y, at = word(p, rng.randint(0, 2)), word(p, rng.randint(0, 2)), \
+                        rng.randint(0, 2)
+                    u, v = x + shifted(lw, at) + y, x + shifted(rw, at) + y
+                elif k % 4 == 2:            # u divides v
+                    v = u + word(p, rng.randint(0, 3))
+                else:
+                    v = word(p, rng.randint(1, 5))
+                mixed = tuple((c, i, rng.choice((1, -1))) for c, i in word(p, rng.randint(2, 8)))
+                yield p, budget, u, v, mixed
+
+
+def test_code_word_answers_match_the_decoded_rule():
+    counts = {"yes": 0, "no": 0, "unknown": 0}
+    for p, budget, u, v, mixed in _exactness_cases():
+        quotient = rv.inverse_product(u, v)
+        for got, want in (
+                (rv.words_equal(p, u, v, budget), _decoded_words_equal(p, u, v, budget)),
+                (rv.left_divides(p, u, v, budget),
+                 _decoded_answer(p, quotient, budget, divides=True)),
+                (rv.reverses_to_empty(p, quotient, budget), _decoded_answer(p, quotient, budget)),
+                (rv.reverses_to_empty(p, mixed, budget), _decoded_answer(p, mixed, budget))):
+            assert got == want, (p.name, budget, u, v, mixed)
+            counts[got] += 1
+    assert min(counts.values()) > 0, counts
+
+
+def test_code_word_answers_do_not_decode(monkeypatch, cleary, rebel):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(rv, "reverse", refuse)
+    monkeypatch.setattr(rv._Rules, "split", refuse)
+    for p in (cleary, rebel):
+        u, v = parse_word("a1 a1"), parse_word("b1 b1" if p is rebel else "b1 b2")
+        assert rv.words_equal(p, u, v) == "yes"
+        assert rv.left_divides(p, u[:1], v) == "yes"
+        assert rv.reverses_to_empty(p, rv.inverse_product(u, v)) == "yes"
+
+
+def test_branching_search_stops_at_its_first_witness(monkeypatch, rebel):
+    calls = []
+    engine = rv._reverse_branching
+
+    def counted(*args):
+        out = engine(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(rv, "_reverse_branching", counted)
+    u, v = parse_word("a1 b1 a1"), parse_word("b1 a1 a1")
+    assert rv.words_equal(rebel, u, v) == "yes"
+    (status, words, steps), = calls
+    assert (status, words) == ("witness", [()])
+    full = rv.reverse(rebel, rv.inverse_product(u, v))
+    assert ((), ()) in full.terminals
+    assert steps < full.steps
+
+
+def test_cube_defined_on_one_side_is_unknown():
+    p = parse(RAND33)
+    # (a1\b1)\(a1\c1) is empty; (b1\a1)\(b1\c1) is undefined: no b, c relation
+    assert rv.cube_sides(p, "a", "b", "c") == ((), None)
+    assert rv.is_complete(p) == rv.Certificate(
+        "unknown", "complemented-cube-partial", {"triple": ["a", "b", "c"]})
+    assert not fractions.uses_reversing(p)
+    assert rv.decide_left_cancellative(p).verdict != "yes"
