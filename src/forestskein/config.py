@@ -2,12 +2,13 @@
 
 The certifiers (completeness, left-cancellativity, Ore, spine, F-infinity)
 always run at these defaults, except for the absorption and spine bounds
-that the CLI may set, and the completeness and left-cancellativity
-verdicts they share are memoized by presentation value for the life of the
-process.  Only the primitives take budgets: reversing (`reverse`,
-`reverses_to_empty`, `words_equal`, `left_divides`) and the oracle's class
-reads (`saturate`, `class_members`, `descend`, and through it `normal_form`
-and `normalize_point`).
+that the CLI may set.  The completeness and left-cancellativity verdicts
+they share are memoized by presentation value in `presentation.memo`, a
+memo bounded to the 32 presentations used last and reset with
+`memo.cache_clear()`.  Only the primitives take budgets: reversing
+(`reverse`, `reverses_to_empty`, `words_equal`, `left_divides`) and the
+oracle's class reads (`saturate`, `class_members`, `descend`, and through
+it `normal_form` and `normalize_point`).
 """
 
 from __future__ import annotations

@@ -83,12 +83,6 @@ def forest(trees: Iterable[Tree]) -> Forest:
     return f
 
 
-def trivial_forest(roots: int) -> Forest:
-    if roots < 1:
-        raise ForestError("a forest needs at least one root")
-    return (LEAF,) * roots
-
-
 def root_count(f: Forest) -> int:
     return len(f)
 

@@ -22,7 +22,6 @@ multiplied in as a pair of trees.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .config import OracleBudget, SearchBounds
@@ -40,7 +39,7 @@ from .forest import (
     tree_key,
     word_from_tree,
 )
-from .presentation import SkeinPresentation, is_complemented
+from .presentation import SkeinPresentation, is_complemented, per_presentation
 from . import oracle, reversing
 
 
@@ -74,7 +73,7 @@ def invert(g: GroupElement) -> GroupElement:
     return GroupElement(g.denominator, g.numerator, g.presentation)
 
 
-@functools.cache
+@per_presentation
 def uses_reversing(p: SkeinPresentation) -> bool:
     """Complemented + complete presentations get the reversing fast path."""
     return is_complemented(p) and reversing.is_complete(p).verdict == "complete"

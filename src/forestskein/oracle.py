@@ -10,12 +10,12 @@ forest itself, rewriting every relation at every occurrence in both
 directions until nothing new appears, and memoizes the sorted class under
 each of its members.  `multiple_classes` reads, class by class, the
 multiples of a forest x at one caret level: those of every extension x . g.
-The bounded Ore and mcm queries and the oracle's Ore witness use it.
+The bounded Ore, mcm, absorption and left-cancellativity checks use it.
 
 `saturate` enumerates a whole stratum, applies every relation at every
 occurrence, and closes with a union-find.  Its tables are the ground truth
-against which the reversing engine and the class search are checked, and
-they power the bounded left-cancellativity refutation.
+of the tests and the benchmark sweep only, against which the reversing
+engine and the class search are checked.
 
 All of them refuse a read by the closed-form size of the stratum (`_admit`),
 so one budget governs a class and the stratum that holds it.
@@ -48,7 +48,7 @@ from .forest import (
     render_forest,
     rewrite_at,
 )
-from .presentation import SkeinPresentation
+from .presentation import SkeinPresentation, per_presentation
 
 
 class BudgetExceeded(RuntimeError):
@@ -57,17 +57,11 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class CongruenceTable:
-    roots: int
-    caret_bound: int
     class_of: dict = field(repr=False)          # forest -> class id
     classes: list = field(repr=False)           # class id -> sorted member list
 
     def class_id(self, f: Forest) -> int:
-        try:
-            return self.class_of[f]
-        except KeyError:
-            raise KeyError(f"forest {render_forest(f)} outside stratum "
-                           f"({self.roots} roots, <= {self.caret_bound} carets)")
+        return self.class_of[f]
 
 
 class _UnionFind:
@@ -89,9 +83,9 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-_tables: dict = {}
 _tables_lock = threading.Lock()
-_classes: dict = {}     # (presentation, forest) -> its sorted class, shared by all members
+_strata = per_presentation(lambda p: {})        # (roots, carets) -> CongruenceTable
+_class_memo = per_presentation(lambda p: {})    # forest -> its sorted class, shared by all members
 
 
 def _admit(p: SkeinPresentation, roots: int, carets: int, budget: OracleBudget) -> None:
@@ -110,11 +104,11 @@ def saturate(p: SkeinPresentation, roots: int, carets: int,
              budget: OracleBudget | None = None) -> CongruenceTable:
     """Congruence table for the stratum (roots, <= carets).  Memoized, thread-safe."""
     _admit(p, roots, carets, budget or OracleBudget())
-    key = (p, roots, carets)
     with _tables_lock:
-        table = _tables.get(key)
+        tables = _strata(p)
+        table = tables.get((roots, carets))
         if table is None:
-            table = _tables[key] = _build(p, roots, carets)
+            table = tables[roots, carets] = _build(p, roots, carets)
         return table
 
 
@@ -140,10 +134,7 @@ def _build(p: SkeinPresentation, roots: int, carets: int) -> CongruenceTable:
     for cid, g in enumerate(members):
         for f in g:
             class_of[f] = cid
-    return CongruenceTable(
-        roots=roots, caret_bound=carets,
-        class_of=class_of, classes=members,
-    )
+    return CongruenceTable(class_of=class_of, classes=members)
 
 
 def equivalent(p: SkeinPresentation, f: Forest, g: Forest) -> bool:
@@ -165,7 +156,8 @@ def class_members(p: SkeinPresentation, f: Forest,
 
 
 def _search_class(p: SkeinPresentation, f: Forest) -> list:
-    cached = _classes.get((p, f))
+    memo = _class_memo(p)
+    cached = memo.get(f)
     if cached is not None:
         return cached
     seen = {f}
@@ -182,7 +174,7 @@ def _search_class(p: SkeinPresentation, f: Forest) -> list:
     rank = p.colour_rank
     members = sorted(seen, key=lambda x: forest_key(x, rank))
     for member in members:
-        _classes[(p, member)] = members
+        memo[member] = members
     return members
 
 
@@ -279,22 +271,17 @@ def refute_left_cancellative(p: SkeinPresentation, caret_bound: int):
     """
     for k in range(2, caret_bound + 1):
         try:
-            two_root = saturate(p, 2, k - 1)
-            one_root = saturate(p, 1, k)
+            _admit(p, 1, k, OracleBudget())
+            two_root = multiple_classes(p, (LEAF, LEAF), k - 1)
         except BudgetExceeded:
             return None
         for c in p.colours:
             yc = (caret(c),)
             composed: dict = {}
-            for g in (cls[0] for cls in two_root.classes
-                      if forest_caret_count(cls[0]) == k - 1):
-                cid = one_root.class_id(compose(yc, g))
-                if cid in composed:
-                    other = composed[cid]
-                    if two_root.class_id(g) != two_root.class_id(other):
-                        return LcCounterexample(yc, other, g)
-                else:
-                    composed[cid] = g
+            for g in (cls[0] for cls in two_root):
+                other = composed.setdefault(_search_class(p, compose(yc, g))[0], g)
+                if other is not g:
+                    return LcCounterexample(yc, other, g)
     return None
 
 

@@ -249,10 +249,6 @@ def from_fraction(g: fractions.GroupElement) -> PermutationElement:
         g.denominator, g.presentation)
 
 
-def perm_identity(p: SkeinPresentation) -> PermutationElement:
-    return PermutationElement(None, (1,), None, p)
-
-
 def perm_invert(g: PermutationElement) -> PermutationElement:
     return PermutationElement(g.denominator, invert_perm(g.perm),
                               g.numerator, g.presentation)

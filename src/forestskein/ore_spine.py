@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .config import ReversingBudget, SearchBounds, SpineBounds
 from .forest import (
+    LEAF,
     Tree,
     caret,
     caret_count,
@@ -160,21 +161,23 @@ def _absorption_check(p, t, bound, depth):
     wide = ReversingBudget(steps=max(base.steps, 50 * len(iterates[-1])),
                            index_ceiling=max(base.index_ceiling, 2 * top + 8),
                            branch_cap=base.branch_cap)
-    try:
-        table = oracle.saturate(p, 1, bound)
-        reps = [cls[0][0] for cls in table.classes]
-    except oracle.BudgetExceeded:
-        reps = list(caret(c) for c in p.colours)
     tested = 0
-    for s in reps:
-        if s is None:
-            continue
+    for s in _absorption_representatives(p, bound):
         ws = word_from_tree(s)
         if not any(reversing.left_divides(p, ws, it, wide) == "yes"
                    for it in iterates if len(it) >= len(ws)):
             return False, tested
         tested += 1
     return True, tested
+
+
+def _absorption_representatives(p, bound) -> list:
+    """Canonical trees of the classes with 1..bound carets; the carets over budget."""
+    try:
+        return [cls[0][0] for k in range(1, bound + 1)
+                for cls in oracle.multiple_classes(p, (LEAF,), k)]
+    except oracle.BudgetExceeded:
+        return [caret(c) for c in p.colours]
 
 
 # ---------------------------------------------------------------------------

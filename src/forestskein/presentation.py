@@ -16,10 +16,14 @@ complementedness checks stay meaningful.
 relations satisfied by the elementary generators: the index-shift
 commutations x_q y_j = y_j x_{q+1} (j < q) common to all forest diagrams,
 plus every index shift of each skein relation.
+
+`memo(p)` keeps what is computed once per presentation, for the 32
+presentations used last; `per_presentation` routes a function through it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -83,6 +87,20 @@ class SkeinPresentation:
     def __repr__(self):
         label = self.name or "anonymous"
         return f"SkeinPresentation({label}: {len(self.colours)} colours, {len(self.relations)} relations)"
+
+
+@functools.lru_cache(maxsize=32)
+def memo(p: SkeinPresentation) -> dict:
+    """The per-presentation results, keyed by the function that computed them."""
+    return {}
+
+
+def per_presentation(fn):
+    """fn(p) computed once per presentation value and kept in memo(p)."""
+    def cached(p):
+        entries = memo(p)    # setdefault: racing threads keep the first value stored
+        return entries[fn] if fn in entries else entries.setdefault(fn, fn(p))
+    return functools.update_wrapper(cached, fn, updated=())
 
 
 def is_complemented(p: SkeinPresentation) -> bool:

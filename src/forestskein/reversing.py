@@ -32,13 +32,12 @@ route for left-cancellativity delegates to the congruence oracle.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 from dataclasses import dataclass, field
 
 from .config import ReversingBudget, SearchBounds
 from .forest import parse_word, render_word, word_from_tree
-from .presentation import SkeinPresentation, is_complemented, skein_relation_words
+from .presentation import SkeinPresentation, is_complemented, per_presentation, skein_relation_words
 from . import oracle
 
 # Signed letters are (colour, index, sign) with sign +1/-1.
@@ -187,7 +186,7 @@ def _derived_pairs(words) -> list:
     return derived
 
 
-_rules = functools.cache(_Rules)
+_rules = per_presentation(_Rules)
 _DEFAULT_BUDGET = ReversingBudget()
 
 
@@ -455,7 +454,7 @@ def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str):
     return _left_complement(p, *cube_sides(p, x, y, z))
 
 
-@functools.cache
+@per_presentation
 def is_complete(p: SkeinPresentation) -> Certificate:
     """Tri-state completeness of the elementary-generator presentation.
 
@@ -504,7 +503,7 @@ def is_complete(p: SkeinPresentation) -> Certificate:
                        {"reason": "relations with equal root colours"})
 
 
-@functools.cache
+@per_presentation
 def decide_left_cancellative(p: SkeinPresentation) -> Certificate:
     """yes / no / unknown with a certificate naming the deciding branch."""
     refute_bound = SearchBounds().lc_refute_bound

@@ -1,9 +1,19 @@
 import hashlib
+import json
 import random
 
 import pytest
+from click.testing import CliRunner
 
-from forestskein import corpus, fractions as fr, group_presentation as gp, oracle, reversing
+from forestskein import (
+    corpus,
+    fractions as fr,
+    group_presentation as gp,
+    oracle,
+    ore_spine,
+    reversing,
+)
+from forestskein.cli import main
 from forestskein.config import OracleBudget
 from forestskein.forest import (
     caret,
@@ -19,7 +29,7 @@ from forestskein.forest import (
     tree_from_word,
     trees_with_carets,
 )
-from forestskein.presentation import parse
+from forestskein.presentation import memo, parse
 
 
 def tw(text):
@@ -224,8 +234,15 @@ def test_oracle_witnesses_pinned():
     assert hashlib.sha256("\n".join(out).encode()).hexdigest() == PINNED_WITNESSES
 
 
-def test_oracle_witness_and_ore_check_build_no_stratum(notlc, rebel, monkeypatch):
-    tables = dict(oracle._tables)
+# sha256 of `fsk check --json` and `fsk spine --json` (exit code, then the
+# report without wall_time_ms) on every corpus entry, recorded while the
+# absorption check and the LC refutation still saturated strata
+PINNED_CORPUS_REPORTS = "ee78deced8211fcfa7c45a5b90ec051c1987957a80e26d09a17e0b0bbdcc69f7"
+
+
+def test_oracle_witness_and_ore_check_build_no_stratum(cleary, ternary, notlc, rebel,
+                                                        monkeypatch):
+    memo.cache_clear()
 
     def refuse(*args):
         raise AssertionError("a stratum was built")
@@ -242,7 +259,21 @@ def test_oracle_witness_and_ore_check_build_no_stratum(notlc, rebel, monkeypatch
                 pass
         oracle.check_ore_bounded(p, 2, 5)
     oracle.mcm_bounded(notlc, caret("a"), caret("b"), 5)
-    assert oracle._tables == tables
+    lc = reversing.decide_left_cancellative(notlc)
+    assert (lc.verdict, lc.detail["counterexample"]) == (
+        "no", {"f": "[a(I,I)]", "g": "[a(I,I), a(I,I)]", "h": "[b(I,I), b(I,I)]"})
+    for p in (cleary, ternary):
+        assert ore_spine.cofinal_search(p).verdict == "proved"
+    reports = []
+    for name in corpus.names():
+        for command in ("check", "spine"):
+            res = CliRunner().invoke(main, [command, name, "--json"])
+            doc = json.loads(res.output)
+            doc.pop("wall_time_ms")
+            reports.append(f"{res.exit_code} " + json.dumps(doc, sort_keys=True))
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == PINNED_CORPUS_REPORTS
+    for p in (cleary, ternary, notlc, rebel):
+        assert oracle._strata(p) == {}
 
 
 # sha256 of the normal forms below, recorded before `oracle.descend` expanded

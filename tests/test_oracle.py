@@ -19,7 +19,7 @@ from forestskein.forest import (
     trees_with_carets,
 )
 from forestskein.ordered_action import normalize_point
-from forestskein.presentation import parse
+from forestskein.presentation import memo, parse
 
 
 def tw(text):
@@ -77,9 +77,9 @@ def test_class_members(cleary):
         oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
 
 
-def test_class_search_matches_the_table(monkeypatch):
+def test_class_search_matches_the_table():
     # the search from one forest gives the table's class: same list, same order
-    monkeypatch.setattr(oracle, "_classes", {})
+    memo.cache_clear()
     rng = random.Random(8)
     for name in corpus.names():
         p = corpus.load(name)
@@ -98,19 +98,18 @@ def test_class_search_matches_the_table(monkeypatch):
         assert oracle.equivalent(p, f, g) == (table.class_id(f) == table.class_id(g))
 
 
-def test_single_class_reads_build_no_stratum(cleary, notlc, monkeypatch):
-    monkeypatch.setattr(oracle, "_tables", {})
-    monkeypatch.setattr(oracle, "_classes", {})
+def test_single_class_reads_build_no_stratum(cleary, notlc):
+    memo.cache_clear()
     rng = random.Random(88)
     t = random_tree(rng, cleary.colours, 8)
     normalize_point(cleary, t, rng.randrange(1, 10))
     s, u = (random_tree(rng, notlc.colours, 5) for _ in range(2))
     fractions.trees_equivalent(notlc, s, u, 14)
-    assert oracle._tables == {}
+    assert oracle._strata(cleary) == {} and oracle._strata(notlc) == {}
     five = (tw("a1 a1 a1 a1 a1"),)
     with pytest.raises(oracle.BudgetExceeded):
         oracle.class_members(cleary, five, oracle.OracleBudget(class_cap=300))
-    assert (cleary, five) not in oracle._classes
+    assert five not in oracle._class_memo(cleary)
     # a class already read at the default budget is still refused under a tight one
     assert five in oracle.class_members(cleary, five)
     with pytest.raises(oracle.BudgetExceeded):
@@ -250,18 +249,27 @@ def test_cached_stratum_keeps_the_budget(cleary):
 
 
 def test_concurrent_saturation(cleary):
+    import sys
     import threading
-    oracle._tables.pop((cleary, 1, 4), None)
+    memo.cache_clear()
     results = []
 
     def work():
         results.append(oracle.saturate(cleary, 1, 4))
 
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    # more threads than cores, switching often, on a cold memo: a table built
+    # twice or stored in a lost memo entry shows as two distinct results
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
     assert all(r is results[0] for r in results)
 
 
