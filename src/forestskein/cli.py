@@ -17,7 +17,7 @@ import click
 
 from . import corpus, fractions, group_presentation as gp, ordered_action as oa
 from . import ore_spine, reversing
-from .config import SearchBounds, SpineBounds
+from .config import FRACTION_BOUND
 from .forest import ForestError, leaf_count, parse_tree, render_tree, tree_colours
 from .presentation import PresentationError, SkeinPresentation, is_complemented, parse, render
 from .reports import RunReport, Verdict
@@ -122,10 +122,8 @@ def check(source, lc, complete_, complemented_, ore, bound, as_json, expect):
 def spine(source, max_carets, max_stages, as_json, expect):
     """Compute spine stages and, when possible, the F-infinity certificate."""
     p = load_presentation(source)
-    defaults = SpineBounds()
     report = RunReport("spine", p)
-    sp = ore_spine.spine(p, max_carets or defaults.caret_bound,
-                         max_stages or defaults.stage_bound)
+    sp = ore_spine.spine(p, max_carets, max_stages)
     classes = ore_spine.spine_classes_deduped(p, sp)
     report.bounds = {"caret_bound": sp.caret_bound, "stage_bound": sp.stage_bound}
     report.data["stages"] = [[render_tree(t) for t in stage] for stage in sp.stages]
@@ -256,7 +254,7 @@ def eval(source, exprs, bound, colour, as_json):
     base = colour or p.colours[0]
     if base not in p.colours:
         raise CliError(f"unknown base colour {base!r}")
-    bound = bound or SearchBounds().fraction_bound
+    bound = bound or FRACTION_BOUND
     parts = list(exprs)
     report = RunReport("eval", p)
     report.bounds = {"fraction_bound": bound}
@@ -343,7 +341,7 @@ def _parse_point(p, text: str) -> oa.OrderedPoint:
 def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
     """Drive the ordered point set: compare points, act, search witnesses."""
     p = load_presentation(source)
-    bound = bound or SearchBounds().fraction_bound
+    bound = bound or FRACTION_BOUND
     report = RunReport(f"qspace {subcommand}", p)
     report.bounds = {"fraction_bound": bound}
     ore = ore_spine.cofinal_search(p)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import OracleBudget, SearchBounds
+from .config import FRACTION_BOUND, OracleBudget
 from .forest import (
     LEAF,
     Tree,
@@ -79,7 +79,9 @@ def uses_reversing(p: SkeinPresentation) -> bool:
     return is_complemented(p) and reversing.is_complete(p).verdict == "complete"
 
 
-def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree, bound: int) -> bool:
+def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree,
+                     bound: int | None = None) -> bool:
+    """Whether t ~ s, or raise Unresolved when the budget or the bound runs out."""
     if leaf_count(t) != leaf_count(s):
         return False
     u, v = word_from_tree(t), word_from_tree(s)    # iterative, unlike tuple ==
@@ -90,9 +92,13 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree, bound: int) -> bool
         if ans == "unknown":
             raise Unresolved("tree equivalence check exceeded the reversing budget")
         return ans == "yes"
+    bound = bound or FRACTION_BOUND
     if caret_count(t) > bound:
         raise Unresolved(f"trees with {caret_count(t)} carets exceed the oracle bound {bound}")
-    return oracle.equivalent(p, (t,), (s,))
+    try:
+        return oracle.equivalent(p, (t,), (s,))
+    except oracle.BudgetExceeded as e:
+        raise Unresolved(f"tree equivalence check exceeded the oracle budget: {e}")
 
 
 def _complements(p: SkeinPresentation, u, v) -> tuple:
@@ -105,11 +111,13 @@ def _complements(p: SkeinPresentation, u, v) -> tuple:
     raise Unresolved("witness reversal exceeded its budget")
 
 
-def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree, bound: int) -> tuple:
+def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree,
+                            bound: int | None = None) -> tuple:
     """Forests (f, f') with t . f ~ s . f', or raise Unresolved."""
     if uses_reversing(p):
         u, v = _complements(p, word_from_tree(t), word_from_tree(s))
         return forest_from_word(u, leaf_count(t)), forest_from_word(v, leaf_count(s))
+    bound = bound or FRACTION_BOUND
     a, b = (t, s) if caret_count(t) >= caret_count(s) else (s, t)
     for k in range(caret_count(a), bound + 1):
         try:
@@ -126,7 +134,6 @@ def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree, bound: int) 
 def multiply(g: GroupElement, h: GroupElement, bound: int | None = None) -> GroupElement:
     if g.presentation is not h.presentation and g.presentation != h.presentation:
         raise ValueError("elements live over different presentations")
-    bound = bound or SearchBounds().fraction_bound
     f, f2 = common_multiple_witness(g.presentation, g.denominator, h.numerator, bound)
     return GroupElement(
         compose((g.numerator,), f)[0],
@@ -139,7 +146,6 @@ def equals(g: GroupElement, h: GroupElement, bound: int | None = None):
     """True / False / None(unknown) under fraction equivalence."""
     if g.presentation != h.presentation:
         raise ValueError("elements live over different presentations")
-    bound = bound or SearchBounds().fraction_bound
     p = g.presentation
     try:
         f, f2 = common_multiple_witness(p, g.denominator, h.denominator, bound)
@@ -151,7 +157,6 @@ def equals(g: GroupElement, h: GroupElement, bound: int | None = None):
 
 
 def is_identity(g: GroupElement, bound: int | None = None):
-    bound = bound or SearchBounds().fraction_bound
     try:
         return trees_equivalent(g.presentation, g.numerator, g.denominator, bound)
     except Unresolved:
@@ -222,7 +227,6 @@ def word_to_element(letters, base_colour: str, p: SkeinPresentation,
     complements extend the numerator and d; both trees are decoded once at
     the end.  Otherwise each letter is multiplied in as a pair of trees.
     """
-    bound = bound or SearchBounds().fraction_bound
     words = uses_reversing(p)
     out, num, den = identity(p), (), ()
     for colour, index, hatted, sign in letters:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .config import SearchBounds
+from .config import FRACTION_BOUND
 from .presentation import SkeinPresentation, skein_relation_words
 from .snf import cokernel_invariants
 from . import fractions
@@ -78,15 +78,15 @@ def _relator(lhs, rhs, label) -> Relator:
     return Relator(tuple(lhs) + _inv(rhs), label)
 
 
-def _slot_word(tree_word, slot: int, roots: int, base_colour: str,
-               finite: bool, drop_hatted_base: bool) -> list:
-    """Translate a tree word placed at `slot` of a `roots`-root forest into generators."""
+def _slot_word(tree_word, slot: int, roots: int, base_colour: str, finite: bool) -> list:
+    """Translate a tree word placed at `slot` of a `roots`-root forest into
+    generators; the finite presentation drops the hatted base colour."""
     out = []
     for k, (colour, i_k) in enumerate(tree_word, start=1):
         j = i_k + slot - 1
         n = k + roots - 1
         hatted = j == n
-        if hatted and drop_hatted_base and colour == base_colour:
+        if hatted and finite and colour == base_colour:
             continue
         if finite and j > 2:
             conj = GenSym(base_colour, 1, False)
@@ -109,45 +109,34 @@ def infinite_presentation(p: SkeinPresentation, base_colour: str, max_index: int
         raise ValueError(f"unknown base colour {base_colour!r}")
     if kind not in ("infinite_truncated", "monoid_H"):
         raise ValueError(f"bad kind {kind!r}")
-    with_hats = kind == "infinite_truncated"
-    gens = [GenSym(c, j, False) for c in p.colours for j in range(1, max_index + 1)]
-    if with_hats:
-        gens += [GenSym(c, j, True) for c in p.colours for j in range(1, max_index + 1)]
+    hats = (False, True) if kind == "infinite_truncated" else (False,)
+    indices = range(1, max_index + 1)
+    gens = [GenSym(c, j, hat) for hat in hats for c in p.colours for j in indices]
     rels = []
-    for x in p.colours:
-        for y in p.colours:
+    for hat in hats:
+        for x, y in itertools.product(p.colours, repeat=2):
             for q in range(2, max_index):
                 for j in range(1, q):
-                    lhs = [(GenSym(x, q, False), 1), (GenSym(y, j, False), 1)]
-                    rhs = [(GenSym(y, j, False), 1), (GenSym(x, q + 1, False), 1)]
-                    rels.append(_relator(lhs, rhs, "shift-commutation"))
-    if with_hats:
-        for x in p.colours:
-            for y in p.colours:
-                for q in range(2, max_index):
-                    for j in range(1, q):
-                        lhs = [(GenSym(x, q, True), 1), (GenSym(y, j, False), 1)]
-                        rhs = [(GenSym(y, j, False), 1), (GenSym(x, q + 1, True), 1)]
-                        rels.append(_relator(lhs, rhs, "hatted-shift-commutation"))
-        for n in range(1, max_index + 1):
-            rels.append(Relator(((GenSym(base_colour, n, True), 1),), "hatted-base"))
-    words = skein_relation_words(p)
-    for rel_id, (lw, rw) in enumerate(words):
-        for i in (1, 2):
-            lhs = _slot_word(lw, i, i + 1, base_colour, finite=False, drop_hatted_base=False)
-            rhs = _slot_word(rw, i, i + 1, base_colour, finite=False, drop_hatted_base=False)
-            if _max_index(lhs + rhs) <= max_index:
-                rels.append(_relator(lhs, rhs, f"skein:{rel_id}:{i}"))
-            if with_hats:
-                lhs = _slot_word(lw, i, i, base_colour, finite=False, drop_hatted_base=False)
-                rhs = _slot_word(rw, i, i, base_colour, finite=False, drop_hatted_base=False)
-                if _max_index(lhs + rhs) <= max_index:
-                    rels.append(_relator(lhs, rhs, f"hatted-skein:{rel_id}:{i}"))
+                    lhs = [(GenSym(x, q, hat), 1), (GenSym(y, j, False), 1)]
+                    rhs = [(GenSym(y, j, False), 1), (GenSym(x, q + 1, hat), 1)]
+                    rels.append(_relator(lhs, rhs, f"{'hatted-' if hat else ''}shift-commutation"))
+    if True in hats:
+        rels += [Relator(((GenSym(base_colour, n, True), 1),), "hatted-base") for n in indices]
+    rels += [rel for rel in _skein_relators(p, base_colour, False, hats)
+             if max((g.index for g, _ in rel.word), default=0) <= max_index]
     return GroupPresentation(kind, base_colour, gens, rels, p, max_index)
 
 
-def _max_index(word) -> int:
-    return max((g.index for g, _ in word), default=0)
+def _skein_relators(p: SkeinPresentation, base_colour: str, finite: bool, hats: tuple):
+    """The skein relations rewritten at slots 1 and 2: at each slot the plain
+    relator on i + 1 roots, then (when hats has True) the hatted one on i roots."""
+    for rel_id, (lw, rw) in enumerate(skein_relation_words(p)):
+        for i in (1, 2):
+            for hat in hats:
+                roots = i if hat else i + 1
+                lhs = _slot_word(lw, i, roots, base_colour, finite)
+                rhs = _slot_word(rw, i, roots, base_colour, finite)
+                yield _relator(lhs, rhs, f"{'hatted-' if hat else ''}skein:{rel_id}:{i}")
 
 
 def finite_presentation(p: SkeinPresentation, base_colour: str,
@@ -189,13 +178,7 @@ def finite_presentation(p: SkeinPresentation, base_colour: str,
         # the generators themselves are eliminated
         rels.append(Relator((), "hatted-base:1"))
         rels.append(Relator((), "hatted-base:2"))
-    for rel_id, (lw, rw) in enumerate(skein_relation_words(p)):
-        for i in (1, 2):
-            for hat, roots, label in ((False, i + 1, f"skein:{rel_id}:{i}"),
-                                      (True, i, f"hatted-skein:{rel_id}:{i}")):
-                lhs = _slot_word(lw, i, roots, a, finite=True, drop_hatted_base=True)
-                rhs = _slot_word(rw, i, roots, a, finite=True, drop_hatted_base=True)
-                rels.append(_relator(lhs, rhs, label))
+    rels += _skein_relators(p, a, True, (False, True))
     return GroupPresentation(kind, base_colour, gens, rels, p)
 
 
@@ -256,7 +239,7 @@ def check_cgp(p: SkeinPresentation, base_colour: str, bound: int | None = None,
     witnesses exist can depend on the base colour: the vine construction has
     a chirality, so a presentation may have the property at one colour only.
     """
-    bound = bound or SearchBounds().fraction_bound
+    bound = bound or FRACTION_BOUND
     a = base_colour
     targets = {(b, j): fractions.generator_element(p, a, b, j, True)
                for b in p.colours if b != a for j in (1, 2)}
@@ -334,7 +317,6 @@ def good_generator_list(p: SkeinPresentation, colour_order=None,
     Each colour x contributes (x3 x4^-1, x1 x2^-1, x4 x5^-1, x2 x3^-1, x5);
     commutation of consecutive pairs is verified by fraction equality.
     """
-    bound = bound or SearchBounds().fraction_bound
     colours = tuple(colour_order) if colour_order else p.colours
     if any(c not in p.colours for c in colours):
         raise ValueError("colour order mentions unknown colours")

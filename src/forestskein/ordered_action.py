@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import OracleBudget, SearchBounds
+from .config import FRACTION_BOUND, OracleBudget
 from .forest import (
     Forest,
     Tree,
@@ -114,18 +114,14 @@ class OrderedPoint:
 
 def raw_points_equal(p: SkeinPresentation, a: tuple, b: tuple,
                      bound: int | None = None) -> Optional[bool]:
-    """Equality of raw (tree, leaf) pairs as points, via a common growth.
+    """Equality of raw (tree, leaf) pairs as points: `compare` on the pairs.
 
     On complemented complete presentations the witness is the minimal
     common multiple and growth maps are injective on leaf indices, so index
     agreement there decides equality exactly.
     """
-    bound = bound or SearchBounds().fraction_bound
-    try:
-        f, f2 = fractions.common_multiple_witness(p, a[0], b[0], bound)
-    except fractions.Unresolved:
-        return None
-    return leaf_image(f, a[1]) == leaf_image(f2, b[1])
+    c = compare(OrderedPoint(*a, p), OrderedPoint(*b, p), bound)
+    return None if c is None else c == "EQ"
 
 
 _EXACT_SCAN_CAP = 6
@@ -203,7 +199,6 @@ def compare(x: OrderedPoint, y: OrderedPoint, bound: int | None = None) -> Optio
     """'LT' | 'EQ' | 'GT', or None when no common growth is found in bound."""
     if x.presentation != y.presentation:
         raise ValueError("points live over different presentations")
-    bound = bound or SearchBounds().fraction_bound
     try:
         f, f2 = fractions.common_multiple_witness(
             x.presentation, x.tree, y.tree, bound)
@@ -270,7 +265,6 @@ def perm_multiply(g: PermutationElement, h: PermutationElement,
     """g . h, applying h first; permutation parts compose as functions."""
     if g.presentation != h.presentation:
         raise ValueError("elements live over different presentations")
-    bound = bound or SearchBounds().fraction_bound
     p, q = fractions.common_multiple_witness(
         g.presentation, g.denominator, h.numerator, bound)
     g2 = _grow_triple(g, p)
@@ -292,7 +286,6 @@ def act(g: PermutationElement, x: OrderedPoint,
     witness fits the bound."""
     if g.presentation != x.presentation:
         raise ValueError("element and point live over different presentations")
-    bound = bound or SearchBounds().fraction_bound
     p, p2 = fractions.common_multiple_witness(
         g.presentation, x.tree, g.denominator, bound)
     grown = _grow_triple(g, p2)
@@ -329,7 +322,6 @@ def flavour_check(g: PermutationElement, rng, sample_bound: int = 20,
     preservation and which break it even up to a cyclic rotation; a chain in
     `violations` refutes the exact flavour's guarantee.
     """
-    bound = bound or SearchBounds().fraction_bound
     exact = g.flavour
     order_violations = []
     cyclic_violations = []
@@ -337,10 +329,14 @@ def flavour_check(g: PermutationElement, rng, sample_bound: int = 20,
     samples = 0
     for _ in range(sample_bound):
         pts = [random_point(g.presentation, rng, 3) for _ in range(3)]
+        order = _chain_order(pts, bound)
+        if order is None:
+            unresolved += 1
+            continue
+        pts = [pts[i] for i in order]
         try:
-            pts.sort(key=_chain_key(pts, bound))
             images = [act(g, x, bound) for x in pts]
-        except (fractions.Unresolved, _UnresolvedChain):
+        except fractions.Unresolved:
             unresolved += 1
             continue
         samples += 1
@@ -356,35 +352,21 @@ def flavour_check(g: PermutationElement, rng, sample_bound: int = 20,
                          cyclic_violations, unresolved)
 
 
-class _UnresolvedChain(RuntimeError):
-    pass
-
-
-def _chain_key(pts, bound):
-    def cmp(a, b):
-        c = compare(a, b, bound)
-        if c is None:
-            raise _UnresolvedChain()
-        return {"LT": -1, "EQ": 0, "GT": 1}[c]
-
-    return functools.cmp_to_key(cmp)
-
-
-def _chain_order(images, bound):
-    """Rank order of the image points; None when a comparison is unresolved.
+def _chain_order(pts, bound):
+    """Rank order of the points; None when a comparison is unresolved.
 
     Each pair is compared once; the order is antisymmetric, so the reverse
     comparison is the negated one.
     """
     sign = {"LT": -1, "EQ": 0, "GT": 1}
     table = {}
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            c = compare(images[i], images[j], bound)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            c = compare(pts[i], pts[j], bound)
             if c is None:
                 return None
             table[i, j], table[j, i] = sign[c], -sign[c]
-    return sorted(range(len(images)), key=functools.cmp_to_key(
+    return sorted(range(len(pts)), key=functools.cmp_to_key(
         lambda a, b: table.get((a, b), 0)))
 
 
@@ -401,7 +383,6 @@ def _is_cyclic_shift(order) -> bool:
 
 def co_represent(pts, bound: int | None = None) -> tuple:
     """Grow a list of distinct points onto one tree: (tree, marks)."""
-    bound = bound or SearchBounds().fraction_bound
     p = pts[0].presentation
     z, marks = pts[0].tree, [pts[0].leaf]
     for x in pts[1:]:
@@ -429,7 +410,7 @@ def transitivity_witness(A, B, bound: int | None = None):
     one, and padded with vines until the mark patterns agree; the witness is
     the composite of the two rotations around the middle fraction.
     """
-    bound = bound or SearchBounds().fraction_bound
+    bound = bound or FRACTION_BOUND
     if len(A) != len(B) or not A:
         raise ValueError("need equal-size nonempty point sets")
     p = A[0].presentation

@@ -23,7 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import ReversingBudget, SearchBounds, SpineBounds
+from .config import (
+    ABSORPTION_BOUND,
+    ITERATE_DEPTH,
+    ORE_PAIR_BOUND,
+    ORE_SEARCH_BOUND,
+    SPINE_CARET_BOUND,
+    SPINE_STAGE_BOUND,
+    ReversingBudget,
+)
 from .forest import (
     LEAF,
     Tree,
@@ -100,9 +108,8 @@ def _monochromatic_candidate(p: SkeinPresentation):
 
 
 def cofinal_search(p: SkeinPresentation, bound: int | None = None) -> OreSearch:
-    defaults = SearchBounds()
-    bound = bound or defaults.absorption_bound
-    bounds = {"absorption_bound": bound, "iterate_depth": defaults.iterate_depth}
+    bound = bound or ABSORPTION_BOUND
+    bounds = {"absorption_bound": bound, "iterate_depth": ITERATE_DEPTH}
 
     closed = reversing.ore_via_closed_family(p)
     if closed.verdict == "yes":
@@ -118,7 +125,7 @@ def cofinal_search(p: SkeinPresentation, bound: int | None = None) -> OreSearch:
             # a monochromatic representative of its class in every colour is
             # what makes the iterated-attachment sequence cofinal, so those
             # two exact facts prove Ore and the absorption run replays it
-            absorbed, tested = _absorption_check(p, t, bound, defaults.iterate_depth)
+            absorbed, tested = _absorption_check(p, t, bound, ITERATE_DEPTH)
             data = {
                 "base_tree": render_tree(t),
                 "monochromatic_representatives":
@@ -135,9 +142,8 @@ def cofinal_search(p: SkeinPresentation, bound: int | None = None) -> OreSearch:
                                  OreCertificate("cofinal_monochromatic", "evidence", data),
                                  bounds=bounds)
 
-    pair_bound = min(defaults.ore_pair_bound, bound)
     try:
-        report = oracle.check_ore_bounded(p, pair_bound, defaults.ore_search_bound)
+        report = oracle.check_ore_bounded(p, min(ORE_PAIR_BOUND, bound), ORE_SEARCH_BOUND)
     except oracle.BudgetExceeded:
         return OreSearch("unknown", None, bounds=bounds)
     bounds |= {"pair_bound": report.pair_bound, "search_bound": report.search_bound}
@@ -211,28 +217,12 @@ def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int) -> list
     # every terminal of the reversal is a common multiple (exactly one on a
     # complemented presentation); minimality is filtered by divisibility
     out = reversing.reverse(p, reversing.inverse_product(wx, wy))
-    candidates = []
-    for left, _ in out.terminals:
-        w = tuple(wx) + left
-        if len(w) <= caret_bound:
-            z = forest_from_word(w, 1)[0]
-            if not any(reversing.words_equal(p, word_from_tree(z), word_from_tree(c)) == "yes"
-                       for c in candidates):
-                candidates.append(z)
-    minimal = []
-    for z in candidates:
-        wz = word_from_tree(z)
-        dominated = False
-        for other in candidates:
-            if other is z:
-                continue
-            wo = word_from_tree(other)
-            if len(wo) < len(wz) and reversing.left_divides(p, wo, wz) == "yes":
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(z)
-    return minimal
+    joins = [tuple(wx) + left for left, _ in out.terminals]
+    candidates = _dedupe(p, [forest_from_word(w, 1)[0] for w in joins if len(w) <= caret_bound])
+    words = [word_from_tree(z) for z in candidates]
+    return [z for z, wz in zip(candidates, words)
+            if not any(len(wo) < len(wz) and reversing.left_divides(p, wo, wz) == "yes"
+                       for wo in words)]
 
 
 def _dedupe(p, trees) -> list:
@@ -259,9 +249,8 @@ def _same_stage(p, a, b) -> bool:
 def spine(p: SkeinPresentation,
           caret_bound: int | None = None,
           stage_bound: int | None = None) -> SpineReport:
-    defaults = SpineBounds()
-    caret_bound = caret_bound or defaults.caret_bound
-    stage_bound = stage_bound or defaults.stage_bound
+    caret_bound = caret_bound or SPINE_CARET_BOUND
+    stage_bound = stage_bound or SPINE_STAGE_BOUND
 
     lc = reversing.decide_left_cancellative(p)
     warning = None if lc.verdict == "yes" else \

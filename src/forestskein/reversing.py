@@ -35,7 +35,7 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from .config import ReversingBudget, SearchBounds
+from .config import LC_REFUTE_BOUND, ReversingBudget
 from .forest import parse_word, render_word, word_from_tree
 from .presentation import SkeinPresentation, is_complemented, per_presentation, skein_relation_words
 from . import oracle
@@ -506,18 +506,17 @@ def is_complete(p: SkeinPresentation) -> Certificate:
 @per_presentation
 def decide_left_cancellative(p: SkeinPresentation) -> Certificate:
     """yes / no / unknown with a certificate naming the deciding branch."""
-    refute_bound = SearchBounds().lc_refute_bound
     comp = is_complete(p)
     if comp.verdict == "complete" and all(
             words_equal(p, tail_l, tail_r) == "yes" for tail_l, tail_r in _rules(p).same_root):
         return Certificate("yes", "complete-no-shared-head",
                            {"completeness": comp.criterion})
-    ce = oracle.refute_left_cancellative(p, refute_bound)
+    ce = oracle.refute_left_cancellative(p, LC_REFUTE_BOUND)
     if ce is not None:
         return Certificate("no", "oracle-counterexample",
-                           {"counterexample": ce.render(), "bound": refute_bound})
+                           {"counterexample": ce.render(), "bound": LC_REFUTE_BOUND})
     return Certificate("unknown", "no-criterion-applies",
-                       {"completeness": comp.verdict, "refute_bound": refute_bound})
+                       {"completeness": comp.verdict, "refute_bound": LC_REFUTE_BOUND})
 
 
 def ore_via_closed_family(p: SkeinPresentation) -> Certificate:

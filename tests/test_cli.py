@@ -203,6 +203,28 @@ def test_eval_deep_literal():
     assert "Traceback" not in res.output
 
 
+def _left_vine(colour, carets):
+    return f"{colour}(" * carets + "I" + ",I)" * carets
+
+
+# A 9-caret fraction on notlc: the oracle refuses the stratum of its
+# numerator's class, and `eval` reads that as unknown rather than failing.
+NOTLC_FRACTION = f"[{_left_vine('a', 9)} ; {_left_vine('b', 9)}]"
+
+
+@pytest.mark.parametrize("args", [
+    (NOTLC_FRACTION,),
+    (NOTLC_FRACTION, "--bound", "20"),
+    (NOTLC_FRACTION, "eq", "[I ; I]"),
+], ids=["identity", "identity-bound-20", "eq"])
+def test_eval_over_the_oracle_budget_is_unknown(args):
+    res = run("eval", "notlc", *args)
+    assert res.exit_code == 0
+    assert res.exception is None
+    assert "Traceback" not in res.output
+    assert "unknown" in res.output.splitlines()[-1]
+
+
 def test_examples_emit(tmp_path):
     res = run("examples", "emit", "dv2", "--dir", str(tmp_path))
     assert res.exit_code == 0

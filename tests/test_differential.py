@@ -18,7 +18,7 @@ import random
 import pytest
 
 from forestskein import corpus, oracle, ore_spine, reversing
-from forestskein.config import SearchBounds
+from forestskein.config import ABSORPTION_BOUND, LC_REFUTE_BOUND
 from forestskein.forest import (
     caret,
     compose,
@@ -79,16 +79,15 @@ def _reference_refute(p, caret_bound):
 
 @functools.cache
 def _refutation(name):
-    return oracle.refute_left_cancellative(CASES[name], SearchBounds().lc_refute_bound)
+    return oracle.refute_left_cancellative(CASES[name], LC_REFUTE_BOUND)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_engines_agree(name):
     p = CASES[name]
-    bounds = SearchBounds()
-    assert _refutation(name) == _reference_refute(p, bounds.lc_refute_bound)
-    small = oracle.saturate(p, 1, bounds.absorption_bound)
-    assert ore_spine._absorption_representatives(p, bounds.absorption_bound) == \
+    assert _refutation(name) == _reference_refute(p, LC_REFUTE_BOUND)
+    small = oracle.saturate(p, 1, ABSORPTION_BOUND)
+    assert ore_spine._absorption_representatives(p, ABSORPTION_BOUND) == \
         [cls[0][0] for cls in small.classes[1:]]
 
     complete = reversing.is_complete(p).verdict == "complete"
@@ -96,7 +95,7 @@ def test_engines_agree(name):
     pairs = [pair for cls in small.classes for pair in itertools.combinations(cls[:6], 2)]
     pairs += [(rng.choice(level), rng.choice(level)) for level in (
         [f for f in small.class_of if forest_caret_count(f) == k]
-        for k in range(1, bounds.absorption_bound + 1)) for _ in range(12)]
+        for k in range(1, ABSORPTION_BOUND + 1)) for _ in range(12)]
     for (t,), (s,) in pairs:
         ans = reversing.words_equal(p, word_from_tree(t), word_from_tree(s))
         same = small.class_id((t,)) == small.class_id((s,))

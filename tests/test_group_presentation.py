@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from forestskein import fractions as fr, group_presentation as gp
+from forestskein import corpus, fractions as fr, group_presentation as gp
 from forestskein.corpus import load
 from forestskein.ore_spine import build_f_tau
 from forestskein.forest import parse_word, tree_from_word
@@ -141,3 +143,30 @@ def test_render_formats(cleary):
     cas = gp.render_cas(pres)
     assert cas.startswith("F := FreeGroup(")
     assert "G := F / rels;;" in cas
+
+
+# sha256 of the text and CAS renders below, recorded before the skein
+# relators of the finite and infinite presentations came from one loop: every
+# corpus entry at every base colour, finite, infinite at four truncations and
+# monoid_H, plus one f_tau-optimized build.  Any change in a generator, a
+# relator, its label or its order changes the digest.
+PINNED_PRESENTATIONS = "9893e08a63644a7cdb277f589dcc16747cd0fedff3d75925469e6922bcf50d9d"
+
+
+def _pinned_presentations():
+    built = build_f_tau({c: tree_from_word(parse_word("x1 x1 x3")) for c in "abc"})
+    yield gp.finite_presentation(built.presentation, "a", kind="f_tau_optimized")
+    for name in corpus.names():
+        p = corpus.load(name)
+        for base in p.colours:
+            yield gp.finite_presentation(p, base)
+            for m in (2, 3, 4, 6):
+                yield gp.infinite_presentation(p, base, m)
+            for m in (2, 4):
+                yield gp.infinite_presentation(p, base, m, kind="monoid_H")
+
+
+def test_presentations_pinned():
+    text = "".join(gp.render_text(pres) + gp.render_cas(pres)
+                   for pres in _pinned_presentations())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PRESENTATIONS

@@ -1,7 +1,7 @@
 import pytest
 
 from forestskein import oracle, ore_spine as osp
-from forestskein.config import SpineBounds
+from forestskein.config import SPINE_CARET_BOUND
 from forestskein.corpus import load
 from forestskein.forest import (
     caret,
@@ -172,7 +172,6 @@ def test_mcm_trees_is_the_join_on_complemented_presentations(cleary, ternary):
     # tree of the join word u(u\v)
     comp = tw("x1 x1 x3")
     f_tau = osp.build_f_tau({c: comp for c in ("a", "b", "c")}).presentation
-    bound = SpineBounds().caret_bound
     for p in (cleary, ternary, f_tau):
         trees = [t for k in (1, 2) for t in trees_with_carets(p.colours, k)]
         for x in trees:
@@ -180,4 +179,4 @@ def test_mcm_trees_is_the_join_on_complemented_presentations(cleary, ternary):
                 join = osp._join_word(p, word_from_tree(x), word_from_tree(y))
                 assert join is not None
                 want = [forest_from_word(join, 1)[0]]
-                assert osp._mcm_trees(p, x, y, bound) == want
+                assert osp._mcm_trees(p, x, y, SPINE_CARET_BOUND) == want
