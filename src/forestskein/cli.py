@@ -68,7 +68,8 @@ def main():
 @click.option("--complete", "complete_", is_flag=True, help="check completeness")
 @click.option("--complemented", "complemented_", is_flag=True, help="check complementedness")
 @click.option("--ore", is_flag=True, help="certify Ore's property")
-@click.option("--bound", type=int, default=None, help="caret bound for oracle searches")
+@click.option("--bound", type=click.IntRange(min=1), default=None,
+              help="caret bound for oracle searches")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--expect", multiple=True, metavar="PROP=VERDICT",
               help="exit 3 unless the property reaches the verdict")
@@ -115,8 +116,8 @@ def check(source, lc, complete_, complemented_, ore, bound, as_json, expect):
 
 @main.command()
 @click.argument("source")
-@click.option("--max-carets", type=int, default=None)
-@click.option("--max-stages", type=int, default=None)
+@click.option("--max-carets", type=click.IntRange(min=1), default=None)
+@click.option("--max-stages", type=click.IntRange(min=1), default=None)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--expect", multiple=True, metavar="PROP=VERDICT")
 def spine(source, max_carets, max_stages, as_json, expect):
@@ -245,7 +246,7 @@ def _parse_group_word(p: SkeinPresentation, text: str) -> list:
 @main.command()
 @click.argument("source")
 @click.argument("exprs", nargs=-1, required=True)
-@click.option("--bound", type=int, default=None)
+@click.option("--bound", type=click.IntRange(min=1), default=None)
 @click.option("--colour", default=None, help="base colour for generator words")
 @click.option("--json", "as_json", is_flag=True)
 def eval(source, exprs, bound, colour, as_json):
@@ -254,7 +255,7 @@ def eval(source, exprs, bound, colour, as_json):
     base = colour or p.colours[0]
     if base not in p.colours:
         raise CliError(f"unknown base colour {base!r}")
-    bound = bound or FRACTION_BOUND
+    bound = FRACTION_BOUND if bound is None else bound
     parts = list(exprs)
     report = RunReport("eval", p)
     report.bounds = {"fraction_bound": bound}
@@ -333,7 +334,7 @@ def _parse_point(p, text: str) -> oa.OrderedPoint:
 @click.argument("subcommand",
                 type=click.Choice(["compare", "act", "transitivity", "stabilizer"]))
 @click.argument("args", nargs=-1)
-@click.option("--bound", type=int, default=None)
+@click.option("--bound", type=click.IntRange(min=1), default=None)
 @click.option("--k", type=int, default=2)
 @click.option("--samples", type=int, default=10)
 @click.option("--seed", type=int, default=0)
@@ -341,7 +342,7 @@ def _parse_point(p, text: str) -> oa.OrderedPoint:
 def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
     """Drive the ordered point set: compare points, act, search witnesses."""
     p = load_presentation(source)
-    bound = bound or FRACTION_BOUND
+    bound = FRACTION_BOUND if bound is None else bound
     report = RunReport(f"qspace {subcommand}", p)
     report.bounds = {"fraction_bound": bound}
     ore = ore_spine.cofinal_search(p)

@@ -13,11 +13,13 @@ common congruence class.  Two interchangeable strategies provide them:
 Witness searches are semidecidable, so a bound exhaustion surfaces as the
 `Unresolved` exception rather than a false answer.
 
-Words in the vine generators b_j, b^_j (`word_to_element`) are evaluated as
-words on reversing presentations: the numerator and denominator stay tree
-words, each letter costs one reversal whose complements extend them, and
-both trees are decoded once at the end.  On the oracle route each letter is
-multiplied in as a pair of trees.
+On the reversing route every witness is the complement pair of one
+reversal (`reversing._complement_codes`), kept as code words: the two
+witness forests are decoded from codes, and words in the vine generators
+b_j, b^_j (`word_to_element`) keep the numerator and denominator as code
+words, each letter costing one reversal whose complements extend them, so
+that both trees are decoded once at the end.  On the oracle route each
+letter is multiplied in as a pair of trees.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree,
         if ans == "unknown":
             raise Unresolved("tree equivalence check exceeded the reversing budget")
         return ans == "yes"
-    bound = bound or FRACTION_BOUND
+    bound = FRACTION_BOUND if bound is None else bound
     if caret_count(t) > bound:
         raise Unresolved(f"trees with {caret_count(t)} carets exceed the oracle bound {bound}")
     try:
@@ -101,12 +103,13 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree,
         raise Unresolved(f"tree equivalence check exceeded the oracle budget: {e}")
 
 
-def _complements(p: SkeinPresentation, u, v) -> tuple:
-    """(u\\v, v\\u) from the one reversal of u^-1 v, or raise Unresolved."""
-    out = reversing.reverse(p, reversing.inverse_product(u, v))
-    if out.terminated:
-        return out.result
-    if out.status == "blocked":
+def _witness_codes(rules, u, v) -> tuple:
+    """(u\\v, v\\u) for code words u, v from the one reversal of u^-1 v, or
+    raise Unresolved."""
+    status, left, right = reversing._complement_codes(rules, u, v)
+    if left is not None:
+        return left, right
+    if status == "blocked":
         raise Unresolved("no common multiple: reversal blocked (Ore fails here)")
     raise Unresolved("witness reversal exceeded its budget")
 
@@ -115,9 +118,11 @@ def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree,
                             bound: int | None = None) -> tuple:
     """Forests (f, f') with t . f ~ s . f', or raise Unresolved."""
     if uses_reversing(p):
-        u, v = _complements(p, word_from_tree(t), word_from_tree(s))
-        return forest_from_word(u, leaf_count(t)), forest_from_word(v, leaf_count(s))
-    bound = bound or FRACTION_BOUND
+        rules = reversing._rules(p)
+        u, v = _witness_codes(rules, *(rules.codes(word_from_tree(x)) for x in (t, s)))
+        return (forest_from_word(rules.decode(u), leaf_count(t)),
+                forest_from_word(rules.decode(v), leaf_count(s)))
+    bound = FRACTION_BOUND if bound is None else bound
     a, b = (t, s) if caret_count(t) >= caret_count(s) else (s, t)
     for k in range(caret_count(a), bound + 1):
         try:
@@ -222,25 +227,25 @@ def word_to_element(letters, base_colour: str, p: SkeinPresentation,
                     bound: int | None = None) -> GroupElement:
     """Evaluate a signed word of (colour, index, hatted, sign) letters in G.
 
-    With reversing, the numerator and denominator stay tree words: a letter
+    With reversing, the numerator and denominator stay code words: a letter
     [n, d] costs one reversal of D^-1 n, D the denominator so far, whose
     complements extend the numerator and d; both trees are decoded once at
     the end.  Otherwise each letter is multiplied in as a pair of trees.
     """
-    words = uses_reversing(p)
-    out, num, den = identity(p), (), ()
+    rules = reversing._rules(p) if uses_reversing(p) else None
+    out, num, den = identity(p), [], []
     for colour, index, hatted, sign in letters:
         if colour not in p.colours:
             raise ValueError(f"unknown colour {colour!r}")
-        if words:
-            n, d = _generator_words(base_colour, colour, index, hatted)
+        if rules:
+            n, d = map(rules.codes, _generator_words(base_colour, colour, index, hatted))
             if sign < 0:
                 n, d = d, n
-            left, right = _complements(p, den, n)
+            left, right = _witness_codes(rules, den, n)
             num, den = num + left, d + right
         else:
             e = generator_element(p, base_colour, colour, index, hatted)
             out = multiply(out, invert(e) if sign < 0 else e, bound)
-    if words:
-        return GroupElement(tree_from_word(num), tree_from_word(den), p)
+    if rules:
+        return GroupElement(*(tree_from_word(rules.decode(w)) for w in (num, den)), p)
     return out

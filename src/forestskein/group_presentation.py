@@ -239,7 +239,7 @@ def check_cgp(p: SkeinPresentation, base_colour: str, bound: int | None = None,
     witnesses exist can depend on the base colour: the vine construction has
     a chirality, so a presentation may have the property at one colour only.
     """
-    bound = bound or FRACTION_BOUND
+    bound = FRACTION_BOUND if bound is None else bound
     a = base_colour
     targets = {(b, j): fractions.generator_element(p, a, b, j, True)
                for b in p.colours if b != a for j in (1, 2)}

@@ -410,7 +410,7 @@ def transitivity_witness(A, B, bound: int | None = None):
     one, and padded with vines until the mark patterns agree; the witness is
     the composite of the two rotations around the middle fraction.
     """
-    bound = bound or FRACTION_BOUND
+    bound = FRACTION_BOUND if bound is None else bound
     if len(A) != len(B) or not A:
         raise ValueError("need equal-size nonempty point sets")
     p = A[0].presentation

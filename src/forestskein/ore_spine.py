@@ -69,10 +69,9 @@ class OreSearch:
 
 def _join_word(p, u, v):
     """Word of a common multiple u(u\\v) of positive words u, v, or None."""
-    out = reversing.reverse(p, reversing.inverse_product(u, v))
-    if out.terminated:
-        return tuple(u) + out.result[0]
-    return None
+    rules = reversing._rules(p)
+    _status, left, _right = reversing._complement_codes(rules, rules.codes(u), rules.codes(v))
+    return None if left is None else tuple(u) + rules.decode(left)
 
 
 def iterate_tree(t: Tree, depth: int) -> Tree:
@@ -108,7 +107,7 @@ def _monochromatic_candidate(p: SkeinPresentation):
 
 
 def cofinal_search(p: SkeinPresentation, bound: int | None = None) -> OreSearch:
-    bound = bound or ABSORPTION_BOUND
+    bound = ABSORPTION_BOUND if bound is None else bound
     bounds = {"absorption_bound": bound, "iterate_depth": ITERATE_DEPTH}
 
     closed = reversing.ore_via_closed_family(p)
@@ -249,8 +248,8 @@ def _same_stage(p, a, b) -> bool:
 def spine(p: SkeinPresentation,
           caret_bound: int | None = None,
           stage_bound: int | None = None) -> SpineReport:
-    caret_bound = caret_bound or SPINE_CARET_BOUND
-    stage_bound = stage_bound or SPINE_STAGE_BOUND
+    caret_bound = SPINE_CARET_BOUND if caret_bound is None else caret_bound
+    stage_bound = SPINE_STAGE_BOUND if stage_bound is None else stage_bound
 
     lc = reversing.decide_left_cancellative(p)
     warning = None if lc.verdict == "yes" else \

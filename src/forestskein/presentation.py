@@ -76,10 +76,12 @@ class SkeinPresentation:
             for c in tree_colours(lhs) | tree_colours(rhs):
                 if c not in seen:
                     raise PresentationError(f"relation uses unknown colour {c!r}")
+        # computed once: every memo lookup hashes the presentation
+        object.__setattr__(self, "colour_rank", {c: i for i, c in enumerate(self.colours)})
+        object.__setattr__(self, "_hash", hash((self.colours, self.relations, self.name)))
 
-    @property
-    def colour_rank(self) -> dict:
-        return {c: i for i, c in enumerate(self.colours)}
+    def __hash__(self):
+        return self._hash
 
     def digest(self) -> str:
         return hashlib.sha256(render(self).encode()).hexdigest()[:12]

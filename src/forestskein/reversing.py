@@ -16,12 +16,18 @@ procedure is deterministic; otherwise every move is explored exhaustively.
 Words are letter tuples at the interface and signed ints inside the loops,
 with the equal-index moves read from a per-presentation table (`_Rules`).
 
-Only `reverse` decodes its terminals into pairs of positive words; the
-complements (`complement`, `scc_at`, and the callers in `fractions` and
-`ore_spine`) read them from there.  `reverses_to_empty`, `words_equal` and
-`left_divides` ask only whether some terminal meets a goal (the empty word,
-or a word with no negative letter), so they answer on the code words
-without decoding, and the branching search stops at its first witness.
+Of the calls that read every terminal, only `reverse` decodes them into
+pairs of positive words (`scc_at`, `ore_spine._mcm_trees`).  A caller that
+needs the unique complement pair of two positive words runs
+`_complement_codes`, which cuts the one terminal code word at its sign
+boundary and decodes nothing: the Ore witnesses and vine-word evaluation in
+`fractions`, `ore_spine._join_word`, `multiple_leaf_starts` and the cube
+expressions of `is_complete` keep complements as code words and decode
+(`_Rules.decode`) at most the words they return.  `reverses_to_empty`,
+`words_equal` and `left_divides` ask only whether some terminal meets a goal
+(the empty word, or a word with no negative letter), so they answer on the
+code words without decoding, and the branching search stops at its first
+witness.
 
 The strong cube condition, completeness, left-cancellativity and the
 closed-family Ore criterion are all expressed over this engine.  Positive
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .config import LC_REFUTE_BOUND, ReversingBudget
@@ -113,8 +120,9 @@ class _Rules:
     (a, b) of an equal-index pattern a^-1 b to its moves in exploration
     order (the deletion first when a = b), each a code tuple with its largest
     magnitude; filled on first use, it holds at most C² entries per index
-    reached.  `letters` decodes a signed code, and `trees` codes the canonical
-    word of a tree (the point scan's, of at most `_EXACT_SCAN_CAP` carets).
+    reached.  `letters` decodes a signed code, `codes` and `decode` translate
+    positive words, and `trees` codes the canonical word of a tree (the point
+    scan's, of at most `_EXACT_SCAN_CAP` carets).
     """
 
     def __init__(self, p: SkeinPresentation):
@@ -126,7 +134,7 @@ class _Rules:
         self.templates, self.same_root = {}, []
         self.skein = _Table(self._skein_moves)
         self.letters = _Table(lambda a: (self.colours[abs(a) % self.C], abs(a) // self.C - 1))
-        self.trees = _Table(lambda t: self.encode(positive_word(word_from_tree(t))))
+        self.trees = _Table(lambda t: tuple(self.codes(word_from_tree(t))))
         for lw, rw in words:
             x, y = lw[0][0], rw[0][0]
             tail_l, tail_r = lw[1:], rw[1:]
@@ -159,11 +167,29 @@ class _Rules:
         C, rank = self.C, self.rank
         return tuple(s * ((i + 1) * C + rank[c]) for c, i, s in w)
 
+    def codes(self, word) -> list:
+        """The code word of a positive word."""
+        C, rank = self.C, self.rank
+        return [(i + 1) * C + rank[c] for c, i in word]
+
+    def decode(self, codes) -> tuple:
+        """The positive word of a code word."""
+        return tuple(map(self.letters.__getitem__, codes))
+
     def split(self, word) -> tuple:
         """Decode a pattern-free word into (positive prefix, positive suffix word)."""
-        cut = bisect.bisect(word, False, key=(0).__gt__)    # positives come first
-        letter = self.letters.__getitem__
-        return tuple(map(letter, word[:cut])), tuple(map(letter, reversed(word[cut:])))
+        return tuple(map(self.decode, _cut(word)))
+
+
+def _cut(word) -> tuple:
+    """(u', v') as code words for a pattern-free code word u' v'^-1."""
+    cut = bisect.bisect(word, False, key=(0).__gt__)    # positives come first
+    return word[:cut], list(map(operator.neg, reversed(word[cut:])))
+
+
+def _quotient(u, v) -> tuple:
+    """The code word of u^-1 v for code words u, v of positive words."""
+    return (*map(operator.neg, reversed(u)), *v)
 
 
 def _derived_pairs(words) -> list:
@@ -318,19 +344,25 @@ def _decide(rules: _Rules, w: tuple, budget: ReversingBudget | None, goal) -> st
     return "unknown" if status == "budget_exhausted" else "no"
 
 
-def _quotient_codes(rules: _Rules, u, v) -> tuple:
-    """The code word of u^-1 v for positive words u, v."""
-    C, rank = rules.C, rules.rank
-    return tuple(-((i + 1) * C + rank[c]) for c, i in reversed(u)) + \
-        tuple((i + 1) * C + rank[c] for c, i in v)
-
-
 def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
                       budget: ReversingBudget | None = None) -> str:
     """'yes' when some reversal run of w reaches the empty word, 'no', or 'unknown'."""
     rules = _rules(p)
     return _decide(rules, rules.encode(w), budget, _empty)
 
+
+def _complement_codes(rules: _Rules, u, v, budget: ReversingBudget = _DEFAULT_BUDGET) -> tuple:
+    """(status, u\\v, v\\u) for code words u, v of positive words.
+
+    The complements are the one terminal of the reversal of u^-1 v, cut at
+    its sign boundary, as code words; both are None unless the reversal
+    terminated.  Nothing is decoded.
+    """
+    engine = _reverse_det if rules.deterministic else _reverse_branching
+    status, words, _steps = engine(rules, _quotient(u, v), budget)
+    if status in ("terminated", "empty"):
+        return (status, *_cut(words[0]))
+    return status, None, None
 
 
 def multiple_leaf_starts(p: SkeinPresentation, t, s) -> tuple | None:
@@ -341,13 +373,10 @@ def multiple_leaf_starts(p: SkeinPresentation, t, s) -> tuple | None:
     if not rules.deterministic:
         raise ValueError("multiple_leaf_starts needs a complemented presentation")
     u, v = rules.trees[t], rules.trees[s]
-    _status, terminals, _steps = _reverse_det(
-        rules, tuple(-a for a in reversed(u)) + v, ReversingBudget())
-    for word in terminals:          # none when the reversal did not terminate
-        cut = bisect.bisect(word, False, key=(0).__gt__)    # positives come first
-        return (_block_starts(rules.C, word[:cut], len(u) + 1),
-                _block_starts(rules.C, [-a for a in reversed(word[cut:])], len(v) + 1))
-    return None
+    _status, left, right = _complement_codes(rules, u, v)
+    if left is None:
+        return None
+    return _block_starts(rules.C, left, len(u) + 1), _block_starts(rules.C, right, len(v) + 1)
 
 
 def _block_starts(C: int, codes, roots: int) -> list:
@@ -368,12 +397,19 @@ def complement(p: SkeinPresentation, u, v):
     Only meaningful on complemented presentations, where the reversal is
     deterministic and the complement unique.
     """
-    if not is_complemented(p):
+    rules = _rules(p)
+    res = _complements(rules, rules.codes(u), rules.codes(v))
+    return None if res is None else tuple(map(rules.decode, res))
+
+
+def _complements(rules: _Rules, u, v):
+    """(u\\v, v\\u) for code words u, v, or None when reversal blocks."""
+    if not rules.deterministic:
         raise ValueError("complement is defined for complemented presentations only")
-    out = reverse(p, inverse_product(u, v))
-    if out.terminated:
-        return out.result
-    if out.status == "blocked":
+    status, left, right = _complement_codes(rules, u, v)
+    if left is not None:
+        return left, right
+    if status == "blocked":
         return None
     raise oracle.BudgetExceeded("complement computation exceeded the reversing budget")
 
@@ -386,7 +422,7 @@ def left_divides(p: SkeinPresentation, u, v,
     sound always; "no" is conclusive only for complete presentations.
     """
     rules = _rules(p)
-    return _decide(rules, _quotient_codes(rules, u, v), budget, _positive)
+    return _decide(rules, _quotient(rules.codes(u), rules.codes(v)), budget, _positive)
 
 
 def words_equal(p: SkeinPresentation, u, v,
@@ -401,7 +437,7 @@ def words_equal(p: SkeinPresentation, u, v,
     if tuple(u) == tuple(v):
         return "yes"
     rules = _rules(p)
-    return _decide(rules, _quotient_codes(rules, u, v), budget, _empty)
+    return _decide(rules, _quotient(rules.codes(u), rules.codes(v)), budget, _empty)
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +470,37 @@ class Certificate:
                 "detail": self.detail}
 
 
-def _left_complement(p: SkeinPresentation, u, v):
-    """u\\v, or None when either word or the complement is undefined."""
+def _left_complement(rules: _Rules, u, v):
+    """u\\v for code words, or None when either word or the complement is undefined."""
     if u is None or v is None:
         return None
-    res = complement(p, u, v)
+    res = _complements(rules, u, v)
     return None if res is None else res[0]
+
+
+def _cube_codes(rules: _Rules, x: str, y: str, z: str) -> tuple:
+    """`cube_sides` as code words."""
+    x1, y1, z1 = (rules.codes(((c, 1),)) for c in (x, y, z))
+    return (_left_complement(rules, _left_complement(rules, x1, y1),
+                             _left_complement(rules, x1, z1)),
+            _left_complement(rules, _left_complement(rules, y1, x1),
+                             _left_complement(rules, y1, z1)))
+
+
+def _decoded(rules: _Rules, codes):
+    return None if codes is None else rules.decode(codes)
 
 
 def cube_sides(p: SkeinPresentation, x: str, y: str, z: str) -> tuple:
     """The two sides (x1\\y1)\\(x1\\z1) and (y1\\x1)\\(y1\\z1), each None when undefined."""
-    x1, y1, z1 = ((x, 1),), ((y, 1),), ((z, 1),)
-    return (_left_complement(p, _left_complement(p, x1, y1), _left_complement(p, x1, z1)),
-            _left_complement(p, _left_complement(p, y1, x1), _left_complement(p, y1, z1)))
+    rules = _rules(p)
+    return tuple(_decoded(rules, side) for side in _cube_codes(rules, x, y, z))
 
 
 def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str):
     """The word [(x1\\y1)\\(x1\\z1)] \\ [(y1\\x1)\\(y1\\z1)], or None when undefined."""
-    return _left_complement(p, *cube_sides(p, x, y, z))
+    rules = _rules(p)
+    return _decoded(rules, _left_complement(rules, *_cube_codes(rules, x, y, z)))
 
 
 @per_presentation
@@ -470,10 +519,11 @@ def is_complete(p: SkeinPresentation) -> Certificate:
         if len(p.colours) <= 2:
             return Certificate("complete", "complemented-small",
                                {"colours": len(p.colours)})
+        rules = _rules(p)
         for x, y, z in itertools.permutations(p.colours, 3):
             try:
-                sides = cube_sides(p, x, y, z)
-                e = _left_complement(p, *sides)
+                sides = _cube_codes(rules, x, y, z)
+                e = _left_complement(rules, *sides)
             except oracle.BudgetExceeded:
                 return Certificate("unknown", "complemented-cube-budget",
                                    {"triple": [x, y, z]})
@@ -483,7 +533,7 @@ def is_complete(p: SkeinPresentation) -> Certificate:
                                    {"triple": [x, y, z]})
             if e:
                 return Certificate("incomplete", "complemented-cube",
-                                   {"triple": [x, y, z], "word": render_word(e)})
+                                   {"triple": [x, y, z], "word": render_word(rules.decode(e))})
         return Certificate("complete", "complemented-cube", {})
     if all(lhs[0] != rhs[0] for lhs, rhs in p.relations):
         unknown = None

@@ -203,6 +203,20 @@ def test_eval_deep_literal():
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("args", [
+    ("check", "cleary", "--bound"),
+    ("eval", "cleary", "a1", "--bound"),
+    ("qspace", "free1", "compare", "a(I,I):1", "a(I,I):2", "--bound"),
+    ("spine", "cleary", "--max-carets"),
+    ("spine", "cleary", "--max-stages"),
+], ids=["check-bound", "eval-bound", "qspace-bound", "max-carets", "max-stages"])
+def test_bounds_below_one_exit_2(args, value):
+    res = run(*args, value, "--json")
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+
+
 def _left_vine(colour, carets):
     return f"{colour}(" * carets + "I" + ",I)" * carets
 

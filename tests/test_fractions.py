@@ -343,16 +343,16 @@ def test_word_to_element_pinned():
 def test_word_route_reverses_once_per_letter(cleary, ternary, monkeypatch):
     assert fr.uses_reversing(cleary) and fr.uses_reversing(ternary)
     reversals = []
-    reverse = reversing.reverse
+    engine = reversing._reverse_det
 
     def counted(*args):
         reversals.append(args)
-        return reverse(*args)
+        return engine(*args)
 
     def refuse(*args):
         raise AssertionError("a pair of trees was multiplied")
 
-    monkeypatch.setattr(reversing, "reverse", counted)
+    monkeypatch.setattr(reversing, "_reverse_det", counted)
     monkeypatch.setattr(fr, "multiply", refuse)
     monkeypatch.setattr(fr, "common_multiple_witness", refuse)
     rng = random.Random(8)

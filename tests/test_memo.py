@@ -37,6 +37,15 @@ def test_memo_keeps_the_last_presentations():
     assert again == verdicts[0] and again is not verdicts[0]
 
 
+def test_equal_presentations_share_one_entry():
+    memo.cache_clear()
+    p, q = (parse(corpus.EXAMPLES["cleary"]) for _ in range(2))
+    assert p is not q
+    assert hash(p) == hash(q) and p == q
+    assert memo(p) is memo(q)
+    assert memo.cache_info().currsize == 1
+
+
 def test_refused_class_read_leaves_no_entry(cleary):
     memo.cache_clear()
     five = (tree_from_word(parse_word("a1 a1 a1 a1 a1")),)

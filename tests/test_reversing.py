@@ -1,10 +1,11 @@
+import collections
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from forestskein import corpus, fractions, oracle, reversing as rv
+from forestskein import corpus, fractions, oracle, ore_spine, reversing as rv
 from forestskein.config import ReversingBudget
 from forestskein.forest import (
     forest_from_word,
@@ -18,7 +19,7 @@ from forestskein.forest import (
     word_from_tree,
 )
 from forestskein.ore_spine import build_f_tau
-from forestskein.presentation import parse, skein_relation_words
+from forestskein.presentation import is_complemented, memo, parse, skein_relation_words
 
 
 def sw(text):
@@ -359,6 +360,7 @@ def _decoded_words_equal(p, u, v, budget):
 
 
 RAND33 = "colors: a, b, c\nrel: a1 b2 = b1 b1\nrel: a1 = c1\n"
+RAND73 = "colors: a, b, c\nrel: a1 c1 b2 = b1 b2 b3\nrel: c1 = b1\n"
 
 
 def _exactness_cases():
@@ -411,6 +413,34 @@ def test_code_word_answers_match_the_decoded_rule():
     assert min(counts.values()) > 0, counts
 
 
+def test_complement_codes_match_reverse():
+    # the code-level complement against the decoded one reversal of u^-1 v,
+    # on every complemented presentation at hand, under tight budgets too
+    rng = random.Random(19)
+    tree = tree_from_word(parse_word("x1 x1 x3"))
+    ftau3 = build_f_tau({"a": tree, "b": tree, "c": tree}).presentation
+    presentations = [p for p in map(corpus.load, corpus.names()) if is_complemented(p)]
+    presentations += [ftau3, parse(RAND33), parse(RAND73)]
+    budgets = (ReversingBudget(), ReversingBudget(steps=30), ReversingBudget(index_ceiling=6))
+    seen = collections.Counter()
+    for p in presentations:
+        rules = rv._rules(p)
+        for budget in budgets:
+            for _ in range(40):
+                u, v = (tuple((rng.choice(p.colours), rng.randint(1, 4))
+                              for _ in range(rng.randint(0, 6))) for _ in range(2))
+                status, left, right = rv._complement_codes(
+                    rules, rules.codes(u), rules.codes(v), budget)
+                out = rv.reverse(p, rv.inverse_product(u, v), budget)
+                decoded = None if left is None else (rules.decode(left), rules.decode(right))
+                assert (status, decoded) == (out.status, out.result), (p.name, budget, u, v)
+                seen[status, budget] += 1
+    for status in ("terminated", "empty", "blocked"):
+        assert seen[status, budgets[0]] > 0
+    assert seen["budget_exhausted", budgets[1]] > 0
+    assert seen["budget_exhausted", budgets[2]] > 0
+
+
 def test_code_word_answers_do_not_decode(monkeypatch, cleary, rebel):
     def refuse(*args, **kwargs):
         raise AssertionError("decoded")
@@ -422,6 +452,28 @@ def test_code_word_answers_do_not_decode(monkeypatch, cleary, rebel):
         assert rv.words_equal(p, u, v) == "yes"
         assert rv.left_divides(p, u[:1], v) == "yes"
         assert rv.reverses_to_empty(p, rv.inverse_product(u, v)) == "yes"
+
+
+def test_complements_do_not_decode_terminals(monkeypatch, cleary):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded")
+
+    tree = tree_from_word(parse_word("x1 x1 x3"))
+    ftau3 = build_f_tau({"a": tree, "b": tree, "c": tree}).presentation
+    memo.cache_clear()
+    monkeypatch.setattr(rv, "reverse", refuse)
+    monkeypatch.setattr(rv._Rules, "split", refuse)
+    assert rv.is_complete(ftau3).verdict == "complete"
+    assert fractions.uses_reversing(ftau3)
+    t, s = tree_from_word(parse_word("a1 b2")), tree_from_word(parse_word("b1 a1"))
+    for p in (cleary, ftau3):
+        f, f2 = fractions.common_multiple_witness(p, t, s)
+        assert rv.words_equal(p, word_from_tree(compose((t,), f)[0]),
+                              word_from_tree(compose((s,), f2)[0])) == "yes"
+        g = fractions.word_to_element([("b", 1, False, 1), ("a", 2, True, -1)], "a", p)
+        assert fractions.is_identity(g) is False
+        assert ore_spine._join_word(p, parse_word("a1"), parse_word("b1")) is not None
+    assert rv.complement(cleary, parse_word("a1"), parse_word("b1")) is not None
 
 
 def test_branching_search_stops_at_its_first_witness(monkeypatch, rebel):
