@@ -34,7 +34,8 @@ from pathlib import Path
 WORKLOADS = ("sweep", "query", "census")
 TRACED = ("oracle.saturate.calls", "oracle.strata", "oracle.forests", "forest.self_s",
           "reversing.reversals", "ordered_action.normalize.calls", "ordered_action.self_s",
-          "fractions.witness.calls", "reversing.us_per_call", "snf.self_s")
+          "fractions.witness.calls", "reversing.us_per_call", "snf.self_s",
+          "reversing.self_s", "fractions.self_s")
 _DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown)\s+(\S+)$")
 _SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 HERE = Path(__file__).resolve().parent.parent

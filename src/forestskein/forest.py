@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 # A tree is None (leaf) or (colour, left, right); a forest is a tuple of trees.
 Tree = Optional[tuple]
@@ -74,13 +74,6 @@ def tree_colours(t: Tree) -> set:
             stack.append(node[1])
             stack.append(node[2])
     return out
-
-
-def forest(trees: Iterable[Tree]) -> Forest:
-    f = tuple(trees)
-    if not f:
-        raise ForestError("a forest needs at least one tree")
-    return f
 
 
 def root_count(f: Forest) -> int:

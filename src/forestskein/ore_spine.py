@@ -42,6 +42,7 @@ from .forest import (
     leaf_count,
     render_tree,
     tree_colours,
+    tree_from_word,
     tree_key,
     word_from_tree,
 )
@@ -352,9 +353,7 @@ def f_infinity_certificate(p: SkeinPresentation,
 # The monochromatic-pair construction
 
 def recolour(t: Tree, colour: str) -> Tree:
-    if t is None:
-        return None
-    return (colour, recolour(t[1], colour), recolour(t[2], colour))
+    return tree_from_word([(colour, i) for _c, i in word_from_tree(t)])
 
 
 @dataclass

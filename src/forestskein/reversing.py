@@ -13,21 +13,22 @@ Relations at arbitrary indices are generated on demand by shifting, under a
 hard index ceiling so divergence surfaces as an explicit budget status.  On
 complemented presentations there is at most one move per pattern and the
 procedure is deterministic; otherwise every move is explored exhaustively.
-Words are letter tuples at the interface and signed ints inside the loops,
-with the equal-index moves read from a per-presentation table (`_Rules`).
+`_run` is the one place that picks the engine.  Words are letter tuples at
+the interface and signed ints inside the loops, with the equal-index moves
+read from a per-presentation table (`_Rules`).
 
 Of the calls that read every terminal, only `reverse` decodes them into
 pairs of positive words (`scc_at`, `ore_spine._mcm_trees`).  A caller that
 needs the unique complement pair of two positive words runs
 `_complement_codes`, which cuts the one terminal code word at its sign
 boundary and decodes nothing: the Ore witnesses and vine-word evaluation in
-`fractions`, `ore_spine._join_word`, `multiple_leaf_starts` and the cube
-expressions of `is_complete` keep complements as code words and decode
-(`_Rules.decode`) at most the words they return.  `reverses_to_empty`,
-`words_equal` and `left_divides` ask only whether some terminal meets a goal
-(the empty word, or a word with no negative letter), so they answer on the
-code words without decoding, and the branching search stops at its first
-witness.
+`fractions`, `ore_spine._join_word` and `multiple_leaf_starts` keep
+complements as code words and decode (`_Rules.decode`) at most the words
+they return; the cube expressions of `is_complete` read `complement`, which
+decodes its pair.  `reverses_to_empty`, `words_equal` and `left_divides` ask
+only whether some terminal meets a goal (the empty word, or a word with no
+negative letter), so they answer on the code words without decoding, and the
+branching search stops at its first witness.
 
 The strong cube condition, completeness, left-cancellativity and the
 closed-family Ore criterion are all expressed over this engine.  Positive
@@ -219,11 +220,18 @@ _DEFAULT_BUDGET = ReversingBudget()
 def reverse(p: SkeinPresentation, w: SignedWord,
             budget: ReversingBudget | None = None) -> ReversalOutcome:
     """Reverse w: deterministically when p is complemented, else by exhaustive search."""
-    budget = budget or _DEFAULT_BUDGET
     rules = _rules(p)
-    engine = _reverse_det if rules.deterministic else _reverse_branching
-    status, words, steps = engine(rules, rules.encode(w), budget)
+    status, words, steps = _run(rules, rules.encode(w), budget)
     return ReversalOutcome(status, tuple(map(rules.split, words)), steps)
+
+
+def _run(rules: _Rules, w: tuple, budget: ReversingBudget | None = None, goal=None) -> tuple:
+    """(status, terminal code words, steps) of reversing w: the one engine choice.
+    With a goal, the branching search stops at its first witness."""
+    budget = budget or _DEFAULT_BUDGET
+    if rules.deterministic:
+        return _reverse_det(rules, w, budget)
+    return _reverse_branching(rules, w, budget, goal)
 
 
 def _reverse_det(rules: _Rules, w: tuple, budget: ReversingBudget) -> tuple:
@@ -334,11 +342,7 @@ def _positive(word) -> bool:
 def _decide(rules: _Rules, w: tuple, budget: ReversingBudget | None, goal) -> str:
     """'yes' when some terminal code word of w meets goal, else 'unknown' when
     the budget ran out, else 'no'.  Nothing is decoded."""
-    budget = budget or _DEFAULT_BUDGET
-    if rules.deterministic:
-        status, words, _steps = _reverse_det(rules, w, budget)
-    else:
-        status, words, _steps = _reverse_branching(rules, w, budget, goal)
+    status, words, _steps = _run(rules, w, budget, goal)
     if any(map(goal, words)):
         return "yes"
     return "unknown" if status == "budget_exhausted" else "no"
@@ -351,15 +355,14 @@ def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
     return _decide(rules, rules.encode(w), budget, _empty)
 
 
-def _complement_codes(rules: _Rules, u, v, budget: ReversingBudget = _DEFAULT_BUDGET) -> tuple:
+def _complement_codes(rules: _Rules, u, v, budget: ReversingBudget | None = None) -> tuple:
     """(status, u\\v, v\\u) for code words u, v of positive words.
 
     The complements are the one terminal of the reversal of u^-1 v, cut at
     its sign boundary, as code words; both are None unless the reversal
     terminated.  Nothing is decoded.
     """
-    engine = _reverse_det if rules.deterministic else _reverse_branching
-    status, words, _steps = engine(rules, _quotient(u, v), budget)
+    status, words, _steps = _run(rules, _quotient(u, v), budget)
     if status in ("terminated", "empty"):
         return (status, *_cut(words[0]))
     return status, None, None
@@ -398,17 +401,11 @@ def complement(p: SkeinPresentation, u, v):
     deterministic and the complement unique.
     """
     rules = _rules(p)
-    res = _complements(rules, rules.codes(u), rules.codes(v))
-    return None if res is None else tuple(map(rules.decode, res))
-
-
-def _complements(rules: _Rules, u, v):
-    """(u\\v, v\\u) for code words u, v, or None when reversal blocks."""
     if not rules.deterministic:
         raise ValueError("complement is defined for complemented presentations only")
-    status, left, right = _complement_codes(rules, u, v)
+    status, left, right = _complement_codes(rules, rules.codes(u), rules.codes(v))
     if left is not None:
-        return left, right
+        return rules.decode(left), rules.decode(right)
     if status == "blocked":
         return None
     raise oracle.BudgetExceeded("complement computation exceeded the reversing budget")
@@ -470,37 +467,24 @@ class Certificate:
                 "detail": self.detail}
 
 
-def _left_complement(rules: _Rules, u, v):
-    """u\\v for code words, or None when either word or the complement is undefined."""
+def _left_complement(p: SkeinPresentation, u, v):
+    """u\\v, or None when either word or the complement is undefined."""
     if u is None or v is None:
         return None
-    res = _complements(rules, u, v)
+    res = complement(p, u, v)
     return None if res is None else res[0]
-
-
-def _cube_codes(rules: _Rules, x: str, y: str, z: str) -> tuple:
-    """`cube_sides` as code words."""
-    x1, y1, z1 = (rules.codes(((c, 1),)) for c in (x, y, z))
-    return (_left_complement(rules, _left_complement(rules, x1, y1),
-                             _left_complement(rules, x1, z1)),
-            _left_complement(rules, _left_complement(rules, y1, x1),
-                             _left_complement(rules, y1, z1)))
-
-
-def _decoded(rules: _Rules, codes):
-    return None if codes is None else rules.decode(codes)
 
 
 def cube_sides(p: SkeinPresentation, x: str, y: str, z: str) -> tuple:
     """The two sides (x1\\y1)\\(x1\\z1) and (y1\\x1)\\(y1\\z1), each None when undefined."""
-    rules = _rules(p)
-    return tuple(_decoded(rules, side) for side in _cube_codes(rules, x, y, z))
+    x1, y1, z1 = (((c, 1),) for c in (x, y, z))
+    return (_left_complement(p, _left_complement(p, x1, y1), _left_complement(p, x1, z1)),
+            _left_complement(p, _left_complement(p, y1, x1), _left_complement(p, y1, z1)))
 
 
 def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str):
     """The word [(x1\\y1)\\(x1\\z1)] \\ [(y1\\x1)\\(y1\\z1)], or None when undefined."""
-    rules = _rules(p)
-    return _decoded(rules, _left_complement(rules, *_cube_codes(rules, x, y, z)))
+    return _left_complement(p, *cube_sides(p, x, y, z))
 
 
 @per_presentation
@@ -519,11 +503,10 @@ def is_complete(p: SkeinPresentation) -> Certificate:
         if len(p.colours) <= 2:
             return Certificate("complete", "complemented-small",
                                {"colours": len(p.colours)})
-        rules = _rules(p)
         for x, y, z in itertools.permutations(p.colours, 3):
             try:
-                sides = _cube_codes(rules, x, y, z)
-                e = _left_complement(rules, *sides)
+                sides = cube_sides(p, x, y, z)
+                e = _left_complement(p, *sides)
             except oracle.BudgetExceeded:
                 return Certificate("unknown", "complemented-cube-budget",
                                    {"triple": [x, y, z]})
@@ -533,7 +516,7 @@ def is_complete(p: SkeinPresentation) -> Certificate:
                                    {"triple": [x, y, z]})
             if e:
                 return Certificate("incomplete", "complemented-cube",
-                                   {"triple": [x, y, z], "word": render_word(rules.decode(e))})
+                                   {"triple": [x, y, z], "word": render_word(e)})
         return Certificate("complete", "complemented-cube", {})
     if all(lhs[0] != rhs[0] for lhs, rhs in p.relations):
         unknown = None

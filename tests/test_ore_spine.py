@@ -180,3 +180,10 @@ def test_mcm_trees_is_the_join_on_complemented_presentations(cleary, ternary):
                 assert join is not None
                 want = [forest_from_word(join, 1)[0]]
                 assert osp._mcm_trees(p, x, y, SPINE_CARET_BOUND) == want
+
+
+def test_recolour_deep_vine():
+    # one level per letter: a recursive recolour ends in RecursionError here
+    vine = tree_from_word([("ab"[k % 2], 1) for k in range(5000)])
+    assert word_from_tree(osp.recolour(vine, "c")) == [("c", 1)] * 5000
+    assert osp.recolour(None, "c") is None

@@ -503,3 +503,45 @@ def test_cube_defined_on_one_side_is_unknown():
         "unknown", "complemented-cube-partial", {"triple": ["a", "b", "c"]})
     assert not fractions.uses_reversing(p)
     assert rv.decide_left_cancellative(p).verdict != "yes"
+
+
+# Completeness certificates and cube expressions, recorded before the cube
+# expressions went back to letter words through `complement`.  Any change in
+# a verdict, a criterion, its detail, a cube side or a cube word changes the
+# digest; a side that raises contributes its exception.
+PINNED_CERTIFICATES = "95bbddaa349ca735632dd524f8b35b2e3b94494471ce6f986dd2a5b26b748934"
+
+
+def _cube_or_error(fn, p, x, y, z):
+    try:
+        return fn(p, x, y, z)
+    except (ValueError, oracle.BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_completeness_certificates_pinned():
+    from test_differential import _generated
+
+    families = ({c: tree_from_word(parse_word("x1 x1 x3")) for c in "abc"},
+                {"a": tree_from_word(parse_word("x1 x2")),
+                 "b": tree_from_word(parse_word("x1 x1")),
+                 "c": tree_from_word(parse_word("x1 x2"))},
+                {"a": tree_from_word(parse_word("x1 x2 x3")),
+                 "b": tree_from_word(parse_word("x1 x1 x1")),
+                 "c": tree_from_word(parse_word("x1 x1 x3")),
+                 "d": tree_from_word(parse_word("x1 x2 x2"))})
+    presentations = [corpus.load(n) for n in corpus.names()] + list(_generated().values())
+    presentations += [parse(RAND33), parse(RAND73)]
+    presentations += [build_f_tau(tau).presentation for tau in families]
+    for ab, ac, bc in itertools.product(("x1 x1", "x1 x2"), repeat=3):     # six incomplete
+        presentations.append(parse("colors: a, b, c\n" + "".join(
+            f"rel: {w.replace('x', x)} = {w.replace('x', y)}\n"
+            for w, x, y in ((ab, "a", "b"), (ac, "a", "c"), (bc, "b", "c")))))
+    memo.cache_clear()
+    out = []
+    for p in presentations:
+        out.append(repr(rv.is_complete(p).to_json()))
+        for x, y, z in itertools.permutations(p.colours, 3):
+            out.append(repr((_cube_or_error(rv.cube_sides, p, x, y, z),
+                             _cube_or_error(rv.complemented_cube_word, p, x, y, z))))
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == PINNED_CERTIFICATES
