@@ -9,9 +9,10 @@ once per seed and keeps, for every end-to-end metric, the median and the
 interquartile range over the seeds.  It adds one `--trace 1` run per
 workload (on the first seed) for the layer counters, the layer self-time
 shares, the per-test times of `pytest --durations=0` and the metadata that
-run.py records (commit, Python, nproc, CPU model), and the median time of a
-fixed pure-Python calibration loop, so that entries recorded on different
-machines can be read against each other.  Every run takes
+run.py records (commit, Python, nproc, CPU model), the line count of the
+package source (`src_lines`), and the median time of a fixed pure-Python
+calibration loop, so that entries recorded on different machines can be read
+against each other.  Every run takes
 run.py's own default duration, so all BENCH files share one run length.
 Everything runs from --root, so a checkout of an older commit can be
 measured with this script; the file is always written at the root of the
@@ -59,6 +60,11 @@ def calibration_s(repeats: int = 5, n: int = 1_000_000) -> float:
             acc = (acc * 31 + i) % 1_000_003
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def src_lines(root: Path) -> int:
+    """Summed line count (as `wc -l` counts) of src/forestskein/*.py under root."""
+    return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "forestskein").glob("*.py"))
 
 
 def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -150,6 +156,7 @@ def main(argv=None) -> int:
         doc["workloads"][w] = entry
     doc["meta"] = {k: meta[k] for k in ("commit", "python", "nproc", "cpu_model")}
     doc["meta"]["calibration_s"] = round(calibration_s(), 4)
+    doc["meta"]["src_lines"] = src_lines(root)
     doc["tier1"] = pytest_durations(root)
     print(f"tier-1: {doc['tier1']['counts']} in {doc['tier1']['wall_s']} s", flush=True)
     out = HERE / f"BENCH_{args.n}.json"

@@ -23,8 +23,8 @@ FRACTION_BOUND = 14      # caret budget for fraction-arithmetic witnesses
 ORE_PAIR_BOUND = 3
 ORE_SEARCH_BOUND = 5
 LC_REFUTE_BOUND = 4
-ABSORPTION_BOUND = 3     # caret size of trees tested against iterates
-ITERATE_DEPTH = 3
+ABSORPTION_BOUND = 3     # caret size of trees tested for division into an iterate
+ITERATE_DEPTH = 3        # absorption into the iterate t_3, read by complements against t
 SPINE_CARET_BOUND = 16
 SPINE_STAGE_BOUND = 8
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .forest import tree_from_word
-from .presentation import SkeinPresentation, parse
+from .presentation import PresentationError, SkeinPresentation, parse
 from .ore_spine import build_f_tau
 
 
@@ -69,6 +69,9 @@ def f_tau_from_words(colour_words: dict, name: str = ""):
     """
     tau = {}
     for colour, word in colour_words.items():
-        letters = [("x", int(tok)) for tok in word.split()]
+        try:
+            letters = [("x", int(tok)) for tok in word.split()]
+        except ValueError:
+            raise PresentationError(f"shape word {word!r} of {colour}: indices must be integers")
         tau[colour] = tree_from_word(letters)
     return build_f_tau(tau, name=name)

@@ -9,7 +9,8 @@ Ore's property is certified three ways, in decreasing strength:
   * cofinal monochromatic tree: a tree t whose class contains an
     all-one-colour representative for every colour absorbs every tree into
     its iterates (attach a copy of t at each leaf, repeatedly), giving a
-    cofinal sequence; a bounded absorption check replays the argument;
+    cofinal sequence; a bounded absorption check replays the argument with
+    complements, as s divides t·F exactly when t\\s divides F;
   * bounded evidence: every small pair of trees gets a common upper bound
     within a search bound.  Never reported as proved.
 
@@ -68,13 +69,6 @@ class OreSearch:
     bounds: dict = field(default_factory=dict)
 
 
-def _join_word(p, u, v):
-    """Word of a common multiple u(u\\v) of positive words u, v, or None."""
-    rules = reversing._rules(p)
-    _status, left, _right = reversing._complement_codes(rules, rules.codes(u), rules.codes(v))
-    return None if left is None else tuple(u) + rules.decode(left)
-
-
 def iterate_tree(t: Tree, depth: int) -> Tree:
     """t_1 = t, t_{k+1} = t_k with a copy of t attached at every leaf."""
     out = t
@@ -86,15 +80,17 @@ def iterate_tree(t: Tree, depth: int) -> Tree:
 def _monochromatic_candidate(p: SkeinPresentation):
     """A tree whose class contains an all-c representative for each colour c.
 
-    Built as the iterated join of the colour carets; checked against its
-    congruence class, which also yields the per-colour representatives.
+    Built as the iterated join u(u\\v) of the colour carets; checked against
+    its congruence class, which also yields the per-colour representatives.
     """
-    word = ((p.colours[0], 1),)
+    rules = reversing._rules(p)
+    word = rules.codes([(p.colours[0], 1)])
     for c in p.colours[1:]:
-        word = _join_word(p, word, ((c, 1),))
-        if word is None:
+        left = reversing._complement_codes(rules, word, rules.codes([(c, 1)]))[1]
+        if left is None:
             return None, {}
-    t = forest_from_word(word, 1)[0]
+        word += left
+    t = forest_from_word(rules.decode(word), 1)[0]
     try:
         members = oracle.class_members(p, (t,))
     except oracle.BudgetExceeded:
@@ -121,10 +117,8 @@ def cofinal_search(p: SkeinPresentation, bound: int | None = None) -> OreSearch:
     if reversing.is_complete(p).verdict == "complete":
         t, mono = _monochromatic_candidate(p)
         if t is not None:
-            # t is a common multiple of every colour caret by construction;
-            # a monochromatic representative of its class in every colour is
-            # what makes the iterated-attachment sequence cofinal, so those
-            # two exact facts prove Ore and the absorption run replays it
+            # t is a common multiple of every colour caret; with monochromatic
+            # representatives in every colour its iterates are cofinal: Ore
             absorbed, tested = _absorption_check(p, t, bound, ITERATE_DEPTH)
             data = {
                 "base_tree": render_tree(t),
@@ -133,13 +127,10 @@ def cofinal_search(p: SkeinPresentation, bound: int | None = None) -> OreSearch:
                 "trees_absorbed": tested,
                 "absorption_replay": "ok" if absorbed else "bound exhausted",
             }
-            if set(mono) == set(p.colours):
-                return OreSearch("proved",
-                                 OreCertificate("cofinal_monochromatic", "proved", data),
-                                 bounds=bounds)
-            if absorbed:
-                return OreSearch("evidence",
-                                 OreCertificate("cofinal_monochromatic", "evidence", data),
+            proved = set(mono) == set(p.colours)
+            if proved or absorbed:
+                level = "proved" if proved else "evidence"
+                return OreSearch(level, OreCertificate("cofinal_monochromatic", level, data),
                                  bounds=bounds)
 
     try:
@@ -159,22 +150,27 @@ def cofinal_search(p: SkeinPresentation, bound: int | None = None) -> OreSearch:
 
 
 def _absorption_check(p, t, bound, depth):
-    """Every class representative with <= bound carets divides some iterate of t."""
-    iterates = [word_from_tree(iterate_tree(t, d)) for d in range(1, depth + 1)]
-    # iterate words carry large indices, so widen the reversing ceiling
-    top = max(i for w in iterates for _, i in w)
-    base = ReversingBudget()
-    wide = ReversingBudget(steps=max(base.steps, 50 * len(iterates[-1])),
-                           index_ceiling=max(base.index_ceiling, 2 * top + 8),
-                           branch_cap=base.branch_cap)
-    tested = 0
-    for s in _absorption_representatives(p, bound):
-        ws = word_from_tree(s)
-        if not any(reversing.left_divides(p, ws, it, wide) == "yes"
-                   for it in iterates if len(it) >= len(ws)):
-            return False, tested
-        tested += 1
-    return True, tested
+    """Every class representative with <= bound carets divides the iterate t_depth.
+
+    t_d = t·(t_{d-1}, ..., t_{d-1}), and t·(t\\s) = s·(s\\t) is the least
+    common multiple on a complete complemented presentation (Dehornoy 2003),
+    so s divides t_d exactly when each tree of the forest t\\s divides
+    t_{d-1}: one reversal against t per level.  "Divides" is sound on every
+    presentation; a reversal that does not terminate reads "does not divide".
+    """
+    rules, n = reversing._rules(p), leaf_count(t)
+    wt = rules.codes(word_from_tree(t))
+    # complements carry leaf indices of t, which pass the default ceiling
+    wide = ReversingBudget(index_ceiling=max(ReversingBudget.index_ceiling, 2 * n + 8))
+
+    def divides(s, d):
+        left = reversing._complement_codes(rules, wt, rules.codes(word_from_tree(s)), wide)[1]
+        return left is not None and (not left or d > 1 and all(
+            u is None or divides(u, d - 1) for u in forest_from_word(rules.decode(left), n)))
+
+    reps = _absorption_representatives(p, bound)
+    tested = next((i for i, s in enumerate(reps) if not divides(s, depth)), len(reps))
+    return tested == len(reps), tested
 
 
 def _absorption_representatives(p, bound) -> list:

@@ -22,13 +22,14 @@ pairs of positive words (`scc_at`, `ore_spine._mcm_trees`).  A caller that
 needs the unique complement pair of two positive words runs
 `_complement_codes`, which cuts the one terminal code word at its sign
 boundary and decodes nothing: the Ore witnesses and vine-word evaluation in
-`fractions`, `ore_spine._join_word` and `multiple_leaf_starts` keep
-complements as code words and decode (`_Rules.decode`) at most the words
-they return; the cube expressions of `is_complete` read `complement`, which
-decodes its pair.  `reverses_to_empty`, `words_equal` and `left_divides` ask
-only whether some terminal meets a goal (the empty word, or a word with no
-negative letter), so they answer on the code words without decoding, and the
-branching search stops at its first witness.
+`fractions`, the cofinal Ore search (`ore_spine._monochromatic_candidate`,
+`_absorption_check`) and `multiple_leaf_starts` keep complements as code
+words and decode (`_Rules.decode`) at most the words they return; the cube
+expressions of `is_complete` read `complement`, which decodes its pair.
+`reverses_to_empty`, `words_equal` and `left_divides` ask only whether some
+terminal meets a goal (the empty word, or a word with no negative letter),
+so they answer on the code words without decoding, and the branching search
+stops at its first witness.
 
 The strong cube condition, completeness, left-cancellativity and the
 closed-family Ore criterion are all expressed over this engine.  Positive

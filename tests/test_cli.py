@@ -263,6 +263,24 @@ def test_examples_f_tau(tmp_path):
     assert "rel: a1 a1 = b1 b2" in body
 
 
+def test_examples_f_tau_non_integer_index_exit_2(tmp_path):
+    res = run("examples", "f-tau", "--colours", "a,b", "--words", "x1;x1", "--dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "integers" in res.output
+
+
+def test_examples_f_tau_long_vines(tmp_path):
+    # absorption into the iterates of a 1,200-caret vine: one reversal against
+    # the vine per level, not a division into its cubic third iterate
+    vine = " ".join(["1"] * 1200)
+    res = run("examples", "f-tau", "--colours", "a,b", "--words", f"{vine};{vine}",
+              "--dir", str(tmp_path))
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == \
+        "lc: yes; ore: evidence; spine size: 2; F-infinity: unknown"
+
+
 def test_certifiers_run_once_per_presentation(tmp_path, monkeypatch):
     # a name no other test uses, so no verdict for this value is cached yet
     text = corpus.EXAMPLES["notlc"].replace("name: notlc", "name: notlc-memo-probe")

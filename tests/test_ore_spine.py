@@ -1,19 +1,24 @@
+import functools
+import hashlib
+import random
+
 import pytest
 
-from forestskein import oracle, ore_spine as osp
-from forestskein.config import SPINE_CARET_BOUND
+from forestskein import corpus, oracle, ore_spine as osp, reversing
+from forestskein.config import SPINE_CARET_BOUND, ReversingBudget
 from forestskein.corpus import load
 from forestskein.forest import (
     caret,
     forest_from_word,
     leaf_count,
     parse_word,
+    random_tree,
     render_tree,
     tree_from_word,
     trees_with_carets,
     word_from_tree,
 )
-from forestskein.presentation import PresentationError
+from forestskein.presentation import PresentationError, memo
 
 
 def tw(text):
@@ -176,9 +181,9 @@ def test_mcm_trees_is_the_join_on_complemented_presentations(cleary, ternary):
         trees = [t for k in (1, 2) for t in trees_with_carets(p.colours, k)]
         for x in trees:
             for y in trees:
-                join = osp._join_word(p, word_from_tree(x), word_from_tree(y))
-                assert join is not None
-                want = [forest_from_word(join, 1)[0]]
+                wx = word_from_tree(x)
+                left, _right = reversing.complement(p, wx, word_from_tree(y))
+                want = [forest_from_word(tuple(wx) + left, 1)[0]]
                 assert osp._mcm_trees(p, x, y, SPINE_CARET_BOUND) == want
 
 
@@ -187,3 +192,86 @@ def test_recolour_deep_vine():
     vine = tree_from_word([("ab"[k % 2], 1) for k in range(5000)])
     assert word_from_tree(osp.recolour(vine, "c")) == [("c", 1)] * 5000
     assert osp.recolour(None, "c") is None
+
+
+def _families(seed=21, count=20):
+    """Seeded build_f_tau presentations: 2-4 colours, shapes of 3-5 leaves."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n, leaves = rng.choice((2, 3, 4)), rng.choice((3, 4, 5))
+        tau = {c: random_tree(rng, ("x",), leaves - 1) for c in "abcd"[:n]}
+        out.append(osp.build_f_tau(tau, name=f"fam{i}").presentation)
+    return out
+
+
+def _digest_set():
+    """The corpus, the differential presentations (rand33 and rand73 among
+    them) and the seeded families."""
+    from test_differential import CASES
+    return list(CASES.values()) + _families()
+
+
+# sha256 of `cofinal_search` (verdict, certificate, bounds, failures) at the
+# default absorption bound and at 2 and 4, recorded while absorption still
+# left-divided into the iterate words.  The search reaches the absorption
+# check only where completeness reads "complete", so the digest covers those
+# presentations; on the others it is the bounded Ore check alone, which
+# costs most of the time (about 25 s per bound over the whole set, 2 vCPU).
+PINNED_COFINAL = "32cb7e9ae37c412595b42d8ccf33c340ae977f97fd243bd6d70ea12f3112228f"
+
+
+def test_cofinal_certificates_pinned(monkeypatch):
+    presentations = [p for p in _digest_set() if reversing.is_complete(p).verdict == "complete"]
+    # bound 4 repeats the default's pair bound: run each bounded Ore check once
+    monkeypatch.setattr(oracle, "check_ore_bounded", functools.cache(oracle.check_ore_bounded))
+    memo.cache_clear()
+    out = []
+    for p in presentations:
+        for bound in (None, 2, 4):
+            s = osp.cofinal_search(p, bound)
+            cert = s.certificate and s.certificate.to_json()
+            out.append(repr((p.name, bound, s.verdict, cert, s.bounds, s.failures)))
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == PINNED_COFINAL
+
+
+def _absorption_by_iterates(p, t, bound, depth):
+    """The absorption check as it ran before complements: left division of
+    each representative into the words of the iterates t_1..t_depth."""
+    iterates = [word_from_tree(osp.iterate_tree(t, d)) for d in range(1, depth + 1)]
+    top = max(i for w in iterates for _, i in w)
+    base = ReversingBudget()
+    wide = ReversingBudget(steps=max(base.steps, 50 * len(iterates[-1])),
+                           index_ceiling=max(base.index_ceiling, 2 * top + 8),
+                           branch_cap=base.branch_cap)
+    tested = 0
+    for s in osp._absorption_representatives(p, bound):
+        ws = word_from_tree(s)
+        if not any(reversing.left_divides(p, ws, it, wide) == "yes"
+                   for it in iterates if len(it) >= len(ws)):
+            return False, tested
+        tested += 1
+    return True, tested
+
+
+def _vine_families():
+    """Two-colour build_f_tau presentations on k-letter vines, k = 3..10."""
+    return [corpus.f_tau_from_words({"a": " ".join("1" * k), "b": " ".join("1" * k)},
+                                    name=f"vine{k}").presentation for k in range(3, 11)]
+
+
+def test_absorption_by_complements_matches_the_iterates():
+    # cofinal_search runs the check only where completeness reads "complete";
+    # elsewhere a branching reversal has no unique complement, and the check
+    # may answer "does not divide" where a division into an iterate succeeds
+    checked = 0
+    for p in _digest_set() + _vine_families():
+        t = osp._monochromatic_candidate(p)[0]
+        if t is None or reversing.is_complete(p).verdict != "complete":
+            continue
+        checked += 1
+        for depth in (1, 2, 3):
+            for bound in (1, 2, 3):
+                assert osp._absorption_check(p, t, bound, depth) == \
+                    _absorption_by_iterates(p, t, bound, depth), (p.name, depth, bound)
+    assert checked >= 40

@@ -472,7 +472,7 @@ def test_complements_do_not_decode_terminals(monkeypatch, cleary):
                               word_from_tree(compose((s,), f2)[0])) == "yes"
         g = fractions.word_to_element([("b", 1, False, 1), ("a", 2, True, -1)], "a", p)
         assert fractions.is_identity(g) is False
-        assert ore_spine._join_word(p, parse_word("a1"), parse_word("b1")) is not None
+        assert ore_spine._monochromatic_candidate(p)[0] is not None
     assert rv.complement(cleary, parse_word("a1"), parse_word("b1")) is not None
 
 

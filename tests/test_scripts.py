@@ -52,3 +52,18 @@ def test_bench_record_calibration(monkeypatch):
     monkeypatch.setattr(bench.subprocess, "run", refuse)
     seconds = bench.calibration_s(repeats=3, n=1000)
     assert isinstance(seconds, float) and 0 < seconds < 1
+
+
+def test_bench_record_src_lines(tmp_path, monkeypatch):
+    bench = load_script("bench_record")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a benchmark run was started")
+
+    monkeypatch.setattr(bench.subprocess, "run", refuse)
+    package = tmp_path / "src" / "forestskein"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not source\n")
+    assert bench.src_lines(tmp_path) == 3
