@@ -271,8 +271,8 @@ def test_examples_f_tau_non_integer_index_exit_2(tmp_path):
 
 
 def test_examples_f_tau_long_vines(tmp_path):
-    # absorption into the iterates of a 1,200-caret vine: one reversal against
-    # the vine per level, not a division into its cubic third iterate
+    # the third iterate of a 1,200-caret vine has about 1.7e9 carets; the
+    # absorption check reaches it through complements against the vine
     vine = " ".join(["1"] * 1200)
     res = run("examples", "f-tau", "--colours", "a,b", "--words", f"{vine};{vine}",
               "--dir", str(tmp_path))
