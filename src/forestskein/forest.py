@@ -88,10 +88,6 @@ def forest_caret_count(f: Forest) -> int:
     return forest_leaf_count(f) - len(f)
 
 
-def is_trivial(f: Forest) -> bool:
-    return all(t is None for t in f)
-
-
 def leaf_starts(f: Forest) -> list:
     """0-based leaf offset of each tree of f (block starts)."""
     starts, acc = [], 0
@@ -179,10 +175,9 @@ def tree_from_word(letters) -> Tree:
 
 def word_from_tree(t: Tree) -> list:
     """Canonical word: carets stripped layer by layer from the root, left to right."""
-    word = []
-    level = (t,)
-    while not is_trivial(level):
-        nxt, pos = [], 1
+    word, level = [], [t]
+    while True:
+        nxt, pos, start = [], 1, len(word)
         for tr in level:
             if tr is None:
                 nxt.append(None)
@@ -193,8 +188,9 @@ def word_from_tree(t: Tree) -> list:
                 nxt.append(l)
                 nxt.append(r)
                 pos += 2
-        level = tuple(nxt)
-    return word
+        if len(word) == start:      # no caret on this level: it was all leaves
+            return word
+        level = nxt
 
 
 def forest_from_word(letters, roots: int) -> Forest:
@@ -255,8 +251,7 @@ def find_occurrences(f: Forest, u: Tree) -> list:
             if _matches_prefix(node, u):
                 out.append(Occurrence(i, path))
             stack.append((node[2], path + (1,)))
-            stack.append((node[1], path + (0,)))
-    out.sort(key=lambda o: (o.tree_index, o.path))
+            stack.append((node[1], path + (0,)))     # popped first: preorder
     return out
 
 
@@ -455,7 +450,8 @@ def tree_key(t: Tree, colour_rank: dict) -> tuple:
 
 
 def forest_key(f: Forest, colour_rank: dict) -> tuple:
-    return (forest_caret_count(f), len(f), tuple(tree_key(t, colour_rank) for t in f))
+    keys = tuple(tree_key(t, colour_rank) for t in f)
+    return (sum(k[0] for k in keys), len(f), keys)
 
 
 @functools.cache

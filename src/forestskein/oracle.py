@@ -6,16 +6,17 @@ preserves (root count, caret count) and every congruence class is finite.
 `class_members` is the only reader of one congruence class: equivalence,
 class order, the spine's monochromatic representatives and `descend`
 (behind both normal forms) go through it.  It searches the class from the
-forest itself, rewriting every relation at every occurrence in both
-directions until nothing new appears, and memoizes the sorted class under
-each of its members.  `multiple_classes` reads, class by class, the
-multiples of a forest x at one caret level: those of every extension x . g.
-The bounded Ore, mcm, absorption and left-cancellativity checks use it.
+forest by `_neighbours`, one walk per tree that rewrites, at each vertex,
+the relation sides rooted in its colour, and memoizes the sorted class as
+one list shared by its members.  `multiple_classes` reads the classes of
+the multiples x . g of x at one caret level, once per (x, k), for mcm,
+absorption and fraction witnesses; the Ore and left-cancellativity checks
+read them unsorted and compare the shared lists by identity.
 
-`saturate` enumerates a whole stratum, applies every relation at every
-occurrence, and closes with a union-find.  Its tables are the ground truth
-of the tests and the benchmark sweep only, against which the reversing
-engine and the class search are checked.
+`saturate` enumerates a whole stratum and joins each forest to its
+`_neighbours` by a union-find.  Its tables are the ground truth of the
+tests and the benchmark sweep only, against which the reversing engine and
+the class search are checked.
 
 All of them refuse a read by the closed-form size of the stratum (`_admit`),
 so one budget governs a class and the stratum that holds it.
@@ -37,16 +38,18 @@ from .forest import (
     Tree,
     caret,
     caret_count,
+    _hanging,
+    _matches_prefix,
+    _replace_at,
     compose,
     divide,
-    find_occurrences,
     forest_caret_count,
     forest_count,
     forest_key,
     forest_leaf_count,
     forests_with_carets,
+    graft,
     render_forest,
-    rewrite_at,
 )
 from .presentation import SkeinPresentation, per_presentation
 
@@ -86,6 +89,11 @@ class _UnionFind:
 _tables_lock = threading.Lock()
 _strata = per_presentation(lambda p: {})        # (roots, carets) -> CongruenceTable
 _class_memo = per_presentation(lambda p: {})    # forest -> its sorted class, shared by all members
+_multiples_memo = per_presentation(lambda p: {})    # (x, k) -> multiple_classes(p, x, k)
+# root colour -> the rewrites (u, u2), both directions, whose side u is rooted in it
+_sides = per_presentation(lambda p: {
+    c: [(u, u2) for l, r in p.relations for u, u2 in ((l, r), (r, l)) if u[0] == c]
+    for c in p.colours})
 
 
 def _admit(p: SkeinPresentation, roots: int, carets: int, budget: OracleBudget) -> None:
@@ -98,6 +106,24 @@ def _admit(p: SkeinPresentation, roots: int, carets: int, budget: OracleBudget) 
         raise BudgetExceeded(
             f"stratum ({roots} roots, <= {carets} carets) exceeds "
             f"{budget.class_cap} forests")
+
+
+def _neighbours(p: SkeinPresentation, f: Forest):
+    """The forests one rewrite from f, in one walk over its trees: at each
+    vertex, every side rooted in its colour that matches there is rewritten."""
+    sides = _sides(p)
+    for i, t in enumerate(f):
+        stack = [(t, ())]
+        while stack:
+            node, path = stack.pop()
+            if node is None:
+                continue
+            for u, u2 in sides.get(node[0], ()):
+                if _matches_prefix(node, u):
+                    subs: list = []
+                    _hanging(node, u, subs)
+                    yield f[:i] + (_replace_at(t, path, graft(u2, subs)[0]),) + f[i + 1:]
+            stack += ((node[2], path + (1,)), (node[1], path + (0,)))
 
 
 def saturate(p: SkeinPresentation, roots: int, carets: int,
@@ -119,9 +145,8 @@ def _build(p: SkeinPresentation, roots: int, carets: int) -> CongruenceTable:
     uf = _UnionFind(len(all_forests))
     for f in all_forests:
         i = index[f]
-        for lhs, rhs in p.relations:
-            for occ in find_occurrences(f, lhs):
-                uf.union(i, index[rewrite_at(f, occ, lhs, rhs)])
+        for g in _neighbours(p, f):
+            uf.union(i, index[g])
     rank = p.colour_rank
     groups: dict = {}
     for f in all_forests:
@@ -130,10 +155,7 @@ def _build(p: SkeinPresentation, roots: int, carets: int) -> CongruenceTable:
         (sorted(g, key=lambda x: forest_key(x, rank)) for g in groups.values()),
         key=lambda g: forest_key(g[0], rank),
     )
-    class_of = {}
-    for cid, g in enumerate(members):
-        for f in g:
-            class_of[f] = cid
+    class_of = {f: cid for cid, g in enumerate(members) for f in g}
     return CongruenceTable(class_of=class_of, classes=members)
 
 
@@ -160,17 +182,12 @@ def _search_class(p: SkeinPresentation, f: Forest) -> list:
     cached = memo.get(f)
     if cached is not None:
         return cached
-    seen = {f}
-    stack = [f]
+    seen, stack = {f}, [f]
     while stack:
-        g = stack.pop()
-        for lhs, rhs in p.relations:
-            for u, u2 in ((lhs, rhs), (rhs, lhs)):
-                for occ in find_occurrences(g, u):
-                    h = rewrite_at(g, occ, u, u2)
-                    if h not in seen:
-                        seen.add(h)
-                        stack.append(h)
+        for h in _neighbours(p, stack.pop()):
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
     rank = p.colour_rank
     members = sorted(seen, key=lambda x: forest_key(x, rank))
     for member in members:
@@ -181,11 +198,18 @@ def _search_class(p: SkeinPresentation, f: Forest) -> list:
 def multiple_classes(p: SkeinPresentation, x: Forest, k: int) -> list:
     """The classes with exactly k carets that x divides, in table order; may raise BudgetExceeded.
 
-    A member x . g of such a class has g among the forests with x's leaves
-    as roots and the remaining carets, so the class of each x . g is read
-    and no stratum is built.  Admitted like the stratum (len(x), <= k).
-    """
+    Admitted like the stratum (len(x), <= k), then read once per (x, k)."""
     _admit(p, len(x), k, OracleBudget())
+    memo = _multiples_memo(p)
+    if (x, k) not in memo:
+        memo[x, k] = sorted(_multiples(p, x, k), key=lambda c: forest_key(c[0], p.colour_rank))
+    return memo[x, k]
+
+
+def _multiples(p: SkeinPresentation, x: Forest, k: int) -> list:
+    """The classes of `multiple_classes`, unordered and read afresh.  A member
+    x . g has g among the forests with x's leaves as roots and the remaining
+    carets, so the class of each x . g is read and no stratum is built."""
     classes, seen = [], set()
     for g in forests_with_carets(p.colours, forest_leaf_count(x), k - forest_caret_count(x)):
         xg = compose(x, g)
@@ -193,8 +217,7 @@ def multiple_classes(p: SkeinPresentation, x: Forest, k: int) -> list:
             members = _search_class(p, xg)
             seen.update(members)
             classes.append(members)
-    rank = p.colour_rank
-    return sorted(classes, key=lambda c: forest_key(c[0], rank))
+    return classes
 
 
 def divide_class(f: Forest, members) -> Forest | None:
@@ -279,7 +302,7 @@ def refute_left_cancellative(p: SkeinPresentation, caret_bound: int):
             yc = (caret(c),)
             composed: dict = {}
             for g in (cls[0] for cls in two_root):
-                other = composed.setdefault(_search_class(p, compose(yc, g))[0], g)
+                other = composed.setdefault(id(_search_class(p, compose(yc, g))), g)
                 if other is not g:
                     return LcCounterexample(yc, other, g)
     return None
@@ -317,8 +340,8 @@ def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int) 
     _admit(p, 1, search_bound, OracleBudget())
     reps = [cls[0] for k in range(1, pair_bound + 1)
             for cls in multiple_classes(p, (LEAF,), k)]
-    above = [{cls[0] for k in range(forest_caret_count(x), search_bound + 1)
-              for cls in multiple_classes(p, x, k)} for x in reps]
+    above = [{id(cls) for k in range(forest_caret_count(x), search_bound + 1)
+              for cls in _multiples(p, x, k)} for x in reps]
     pairs = list(itertools.combinations(range(len(reps)), 2))
     failures = [(render_forest(reps[i]), render_forest(reps[j]))
                 for i, j in pairs if not above[i] & above[j]]

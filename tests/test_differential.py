@@ -9,6 +9,9 @@ saturated strata, the oracle's ground truth:
   * the absorption check reads the classes of the stratum (1, <= bound);
   * reversing never calls inequivalent trees equal, and on a presentation
     certified complete it calls equivalent trees equal.
+
+The bounded Ore check, which compares classes by identity, also gives the
+report of a reference that compares canonical members of sorted class reads.
 """
 
 import functools
@@ -18,12 +21,19 @@ import random
 import pytest
 
 from forestskein import corpus, oracle, ore_spine, reversing
-from forestskein.config import ABSORPTION_BOUND, LC_REFUTE_BOUND
+from forestskein.config import (
+    ABSORPTION_BOUND,
+    LC_REFUTE_BOUND,
+    ORE_PAIR_BOUND,
+    ORE_SEARCH_BOUND,
+)
 from forestskein.forest import (
+    LEAF,
     caret,
     compose,
     forest_caret_count,
     random_tree,
+    render_forest,
     word_from_tree,
 )
 from forestskein.presentation import SkeinPresentation, parse
@@ -102,6 +112,38 @@ def test_engines_agree(name):
         assert ans != "yes" or same, (t, s)
         if complete:
             assert ans == ("yes" if same else "no"), (t, s)
+
+
+def _reference_ore(p, pair_bound, search_bound) -> dict:
+    """The bounded Ore check on sets of canonical members of sorted class reads,
+    as it ran before classes were compared by identity."""
+    reps = [cls[0] for k in range(1, pair_bound + 1)
+            for cls in oracle.multiple_classes(p, (LEAF,), k)]
+    above = [{cls[0] for k in range(forest_caret_count(x), search_bound + 1)
+              for cls in oracle.multiple_classes(p, x, k)} for x in reps]
+    pairs = list(itertools.combinations(range(len(reps)), 2))
+    failures = [(render_forest(reps[i]), render_forest(reps[j]))
+                for i, j in pairs if not above[i] & above[j]]
+    return oracle.OreReport(pair_bound, search_bound, failures, len(pairs)).to_json()
+
+
+# every case at (2, 4) carets, and the corpus at the bounds of `fsk check`
+ORE_RUNS = [(name, 2, 4) for name in sorted(CASES)] + \
+    [(name, ORE_PAIR_BOUND, ORE_SEARCH_BOUND) for name in corpus.names()]
+
+
+@pytest.mark.parametrize("name, pair_bound, search_bound", ORE_RUNS)
+def test_ore_check_matches_the_canonical_member_reference(name, pair_bound, search_bound):
+    p = CASES[name]
+    try:
+        got = oracle.check_ore_bounded(p, pair_bound, search_bound).to_json()
+    except oracle.BudgetExceeded:
+        got = "over budget"
+    try:
+        want = _reference_ore(p, pair_bound, search_bound)
+    except oracle.BudgetExceeded:
+        want = "over budget"
+    assert got == want
 
 
 def test_generated_presentations_include_counterexamples():

@@ -116,6 +116,41 @@ def test_codec_letters_in_range():
             assert 1 <= idx <= k
 
 
+def _word_by_levels(t):
+    """The canonical word as defined before: every level is tested for leaves only."""
+    word = []
+    level = (t,)
+    while not all(tr is None for tr in level):
+        nxt, pos = [], 1
+        for tr in level:
+            if tr is None:
+                nxt.append(None)
+                pos += 1
+            else:
+                c, l, r = tr
+                word.append((c, pos))
+                nxt.append(l)
+                nxt.append(r)
+                pos += 2
+        level = tuple(nxt)
+    return word
+
+
+def test_word_from_tree_matches_the_level_test(rng):
+    for k in range(6):
+        for t in trees_with_carets(COLOURS, k):
+            assert word_from_tree(t) == _word_by_levels(t)
+    for _ in range(300):
+        t = random_tree(rng, ("a", "b", "c"), rng.randint(0, 40))
+        assert word_from_tree(t) == _word_by_levels(t)
+    # 1,500 levels, beyond the default recursion limit: the walk is iterative
+    left = right = LEAF
+    for _ in range(1500):
+        left, right = ("a", left, LEAF), ("b", LEAF, right)
+    assert word_from_tree(left) == [("a", 1)] * 1500
+    assert word_from_tree(right) == [("b", n) for n in range(1, 1501)]
+
+
 def compose_decoded(letters, roots):
     """Reference decoder: one `compose` with an elementary forest per letter."""
     f, n = (LEAF,) * roots, roots
@@ -196,10 +231,31 @@ def test_occurrences_vs_naive():
             assert len(find_occurrences((f,), u)) == naive_occurrences((f,), u)
 
 
-def test_occurrence_order():
+def _addresses(t, path=()):
+    """The path to every vertex of t."""
+    if t is not None:
+        yield path
+        yield from _addresses(t[1], path + (0,))
+        yield from _addresses(t[2], path + (1,))
+
+
+def _subtree(t, path):
+    for step in path:
+        t = t[1 + step]
+    return t
+
+
+def test_occurrence_order(rng):
+    # the stack walk itself yields (tree index, preorder path) order: no sort
     t = tw("a1 a1 a3")
     occs = find_occurrences((t,), caret("a"))
     assert occs == sorted(occs, key=lambda o: (o.tree_index, o.path))
+    for _ in range(1000):
+        f = random_forest(rng, COLOURS, rng.randint(1, 4), rng.randint(0, 10))
+        u = random_tree(rng, COLOURS, rng.randint(1, 3))
+        want = sorted((i, path) for i, tree in enumerate(f) for path in _addresses(tree)
+                      if divide((u,), (_subtree(tree, path),)) is not None)
+        assert [(o.tree_index, o.path) for o in find_occurrences(f, u)] == want
 
 
 def test_rewrite_cleary_relation():

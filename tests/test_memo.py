@@ -7,7 +7,7 @@ import pytest
 
 from forestskein import corpus, oracle, reversing
 from forestskein.config import OracleBudget
-from forestskein.forest import parse_word, tree_from_word
+from forestskein.forest import LEAF, caret, parse_word, tree_from_word
 from forestskein.presentation import memo, parse
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "forestskein"
@@ -52,6 +52,24 @@ def test_refused_class_read_leaves_no_entry(cleary):
     with pytest.raises(oracle.BudgetExceeded):
         oracle.class_members(cleary, five, OracleBudget(class_cap=300))
     assert oracle._class_memo(cleary) == {}
+
+
+def test_refused_multiples_read_leaves_no_entry(cleary):
+    memo.cache_clear()
+    with pytest.raises(oracle.BudgetExceeded):
+        oracle.multiple_classes(cleary, (caret("a"),), 9)
+    assert oracle._multiples_memo(cleary) == {}
+
+
+def test_multiples_read_once_until_the_memo_is_cleared(cleary):
+    memo.cache_clear()
+    first = oracle.multiple_classes(cleary, (LEAF,), 3)
+    assert oracle.multiple_classes(cleary, (LEAF,), 3) is first
+    assert oracle._multiples_memo(cleary) == {((LEAF,), 3): first}
+    memo.cache_clear()
+    assert oracle._multiples_memo(cleary) == {}
+    again = oracle.multiple_classes(cleary, (LEAF,), 3)
+    assert again == first and again is not first
 
 
 def _is_cache(node) -> bool:

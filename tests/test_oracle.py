@@ -98,6 +98,19 @@ def test_class_search_matches_the_table():
         assert oracle.equivalent(p, f, g) == (table.class_id(f) == table.class_id(g))
 
 
+def test_neighbours_are_the_single_rewrites():
+    # the one walk gives each rewrite that occurrence search and rewrite_at give
+    rng = random.Random(24)
+    for name in corpus.names():
+        p = corpus.load(name)
+        for _ in range(60):
+            f = random_forest(rng, p.colours, rng.randint(1, 3), rng.randint(0, 7))
+            want = [rewrite_at(f, occ, u, u2) for lhs, rhs in p.relations
+                    for u, u2 in ((lhs, rhs), (rhs, lhs)) for occ in find_occurrences(f, u)]
+            assert sorted(map(render_forest, oracle._neighbours(p, f))) == \
+                sorted(map(render_forest, want))
+
+
 def test_single_class_reads_build_no_stratum(cleary, notlc):
     memo.cache_clear()
     rng = random.Random(88)

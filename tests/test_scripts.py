@@ -67,3 +67,19 @@ def test_bench_record_src_lines(tmp_path, monkeypatch):
     (package / "b.py").write_text("z = 3\n")
     (package / "notes.txt").write_text("not source\n")
     assert bench.src_lines(tmp_path) == 3
+
+
+def test_ab_pairs_smoke(capsys):
+    ab = load_script("ab_pairs")
+    # the checkout against itself: two tiny census pairs, one led by each side
+    ab.main(["--base", str(SCRIPTS.parent), "--workload", "census", "--pairs", "2",
+             "--seed", "1", "--seconds", "1", "--tiny"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pair 1 (base first)")
+    assert lines[1].startswith("pair 2 (change first)")
+    summary = json.loads(lines[-1])
+    assert (summary["workload"], summary["seed"], summary["pairs"]) == ("census", 1, 2)
+    assert set(summary["metrics"]) == {"setup_s", "ops_per_s", "op_p50_ms", "peak_rss_mb"}
+    for m in summary["metrics"].values():
+        assert len(m["ratios"]) == 2 and 0 <= m["pairs_favouring_change"] <= 2
+        assert m["base_median"] > 0 and m["change_median"] > 0
