@@ -157,7 +157,7 @@ def spine(source, max_carets, max_stages, as_json, expect):
 @click.option("--finite", "mode", flag_value="finite", default=True)
 @click.option("--infinite", "mode", flag_value="infinite")
 @click.option("--monoid", "mode", flag_value="monoid")
-@click.option("--max-index", type=int, default=3)
+@click.option("--max-index", type=click.IntRange(min=1), default=3)
 @click.option("--colour", default=None, help="base colour (default: first declared)")
 @click.option("--format", "fmt", type=click.Choice(["text", "cas"]), default="text")
 @click.option("--abelian", is_flag=True, help="also print abelian invariants")
@@ -335,7 +335,7 @@ def _parse_point(p, text: str) -> oa.OrderedPoint:
                 type=click.Choice(["compare", "act", "transitivity", "stabilizer"]))
 @click.argument("args", nargs=-1)
 @click.option("--bound", type=click.IntRange(min=1), default=None)
-@click.option("--k", type=int, default=2)
+@click.option("--k", type=click.IntRange(min=1), default=2)
 @click.option("--samples", type=int, default=10)
 @click.option("--seed", type=int, default=0)
 @click.option("--json", "as_json", is_flag=True)

@@ -15,7 +15,8 @@ Witness searches are semidecidable, so a bound exhaustion surfaces as the
 
 On the reversing route every witness is the complement pair of one
 reversal (`reversing._complement_codes`), kept as code words: the two
-witness forests are decoded from codes, and words in the vine generators
+witness forests are decoded from codes, `witness_starts` reads their block
+starts without building them, and words in the vine generators
 b_j, b^_j (`word_to_element`) keep the numerator and denominator as code
 words, each letter costing one reversal whose complements extend them, so
 that both trees are decoded once at the end.  On the oracle route each
@@ -34,6 +35,7 @@ from .forest import (
     compose,
     forest_from_word,
     leaf_count,
+    leaf_starts,
     prunable_carets,
     render_tree,
     strip_caret,
@@ -134,6 +136,20 @@ def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree,
                 return oracle.divide_class((t,), cls), oracle.divide_class((s,), cls)
     raise Unresolved(f"no common multiple of {render_tree(t)} and {render_tree(s)} "
                      f"within caret bound {bound}")
+
+
+def witness_starts(p: SkeinPresentation, t: Tree, s: Tree,
+                   bound: int | None = None) -> tuple:
+    """`leaf_starts` of both forests of `common_multiple_witness(p, t, s, bound)`,
+    or raise Unresolved.  On the reversing route they are read off the
+    complement code words of the trees' codes (`_Rules.trees`), and no forest
+    is built."""
+    if uses_reversing(p):
+        rules = reversing._rules(p)
+        u, v = rules.trees[t], rules.trees[s]
+        left, right = _witness_codes(rules, u, v)
+        return rules.block_starts(left, len(u) + 1), rules.block_starts(right, len(v) + 1)
+    return tuple(map(leaf_starts, common_multiple_witness(p, t, s, bound)))
 
 
 def multiply(g: GroupElement, h: GroupElement, bound: int | None = None) -> GroupElement:

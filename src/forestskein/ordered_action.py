@@ -38,7 +38,7 @@ from .forest import (
     trees_in_key_order,
 )
 from .presentation import SkeinPresentation
-from . import fractions, oracle, reversing
+from . import fractions, oracle
 
 Perm = tuple
 
@@ -88,15 +88,10 @@ def zappa_szep(perm: Perm, f: Forest) -> tuple:
         raise ValueError(f"permutation on {len(perm)} strands against {n} roots")
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("not a bijection")
-    f_tau = tuple(f[perm[i] - 1] for i in range(n))
-    starts_f = leaf_starts(f)
-    starts_ft = leaf_starts(f_tau)
-    out = [0] * sum(leaf_count(t) for t in f)
-    for i in range(n):
-        width = leaf_count(f_tau[i])
-        for o in range(width):
-            out[starts_ft[i] + o] = starts_f[perm[i] - 1] + o + 1
-    return f_tau, tuple(out)
+    starts, out = leaf_starts(f), []
+    for b in perm:      # the leaves of block b of f, in the order of f^tau
+        out.extend(range(starts[b - 1] + 1, starts[b - 1] + leaf_count(f[b - 1]) + 1))
+    return tuple(f[b - 1] for b in perm), tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +131,7 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
     by scanning candidate trees in key order and taking the first pair that
     is point-equal, which the reversing join decides exactly.  Each candidate
     costs one reversal, read as the block starts of the Ore witness (f, f2)
-    with cand . f ~ best . f2 (`reversing.multiple_leaf_starts`): the matching
+    with cand . f ~ best . f2 (`fractions.witness_starts`): the matching
     leaf j' has j'^f == j^f2 (the starts increase strictly, so j' is unique),
     and a candidate whose reversal blocks or runs over budget is skipped.
     Elsewhere the shrunken pair is returned (descents can miss representatives
@@ -165,9 +160,12 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
             trees_in_key_order(p.colours, carets) for carets in range(k + 1)):
         if cand == best_t:
             break
-        starts = reversing.multiple_leaf_starts(p, cand, best_t)
-        if starts is not None and (target := starts[1][best_j - 1]) in starts[0]:
-            return OrderedPoint(cand, starts[0].index(target) + 1, p)
+        try:
+            starts, best_starts = fractions.witness_starts(p, cand, best_t)
+        except fractions.Unresolved:
+            continue
+        if (target := best_starts[best_j - 1]) in starts:
+            return OrderedPoint(cand, starts.index(target) + 1, p)
     return OrderedPoint(best_t, best_j, p)
 
 
@@ -196,16 +194,17 @@ def grow_point(p: SkeinPresentation, x: OrderedPoint, f: Forest) -> tuple:
 
 
 def compare(x: OrderedPoint, y: OrderedPoint, bound: int | None = None) -> Optional[str]:
-    """'LT' | 'EQ' | 'GT', or None when no common growth is found in bound."""
+    """'LT' | 'EQ' | 'GT', or None when no common growth is found in bound.
+
+    The leaf images of x and y on the common tree are read off the block
+    starts of the Ore witness (`fractions.witness_starts`)."""
     if x.presentation != y.presentation:
         raise ValueError("points live over different presentations")
     try:
-        f, f2 = fractions.common_multiple_witness(
-            x.presentation, x.tree, y.tree, bound)
+        f, f2 = fractions.witness_starts(x.presentation, x.tree, y.tree, bound)
     except fractions.Unresolved:
         return None
-    a = leaf_image(f, x.leaf)
-    b = leaf_image(f2, y.leaf)
+    a, b = f[x.leaf - 1], f2[y.leaf - 1]
     return "LT" if a < b else "GT" if a > b else "EQ"
 
 
@@ -346,7 +345,7 @@ def flavour_check(g: PermutationElement, rng, sample_bound: int = 20,
             continue
         if order != sorted(order):
             order_violations.append([x.render() for x in pts])
-            if not _is_cyclic_shift(order):
+            if not is_rotation(tuple(i + 1 for i in order)):     # not a cyclic shift
                 cyclic_violations.append([x.render() for x in pts])
     return FlavourReport(exact, samples, order_violations,
                          cyclic_violations, unresolved)
@@ -368,14 +367,6 @@ def _chain_order(pts, bound):
             table[i, j], table[j, i] = sign[c], -sign[c]
     return sorted(range(len(pts)), key=functools.cmp_to_key(
         lambda a, b: table.get((a, b), 0)))
-
-
-def _is_cyclic_shift(order) -> bool:
-    k = len(order)
-    for shift in range(k):
-        if all(order[(i + shift) % k] == i for i in range(k)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +398,10 @@ def transitivity_witness(A, B, bound: int | None = None):
     """A cyclic-flavour element g with g . A = B, verified by act, or None.
 
     Both sets are co-represented, rotated so their least points sit on leaf
-    one, and padded with vines until the mark patterns agree; the witness is
-    the composite of the two rotations around the middle fraction.
+    one, and padded with vines in one pass, mark by mark and then at the
+    last leaf, until the mark patterns agree; `bound` or more pads give None.
+    The witness is the composite of the two rotations around the middle
+    fraction.
     """
     bound = FRACTION_BOUND if bound is None else bound
     if len(A) != len(B) or not A:
@@ -424,27 +417,21 @@ def transitivity_witness(A, B, bound: int | None = None):
         cB = PermutationElement(zB, rotation(nB, 1 - marksB[0]), zB, p)
         marksA = sorted(rotation(nA, 1 - marksA[0])[m - 1] for m in marksA)
         marksB = sorted(rotation(nB, 1 - marksB[0])[m - 1] for m in marksB)
-        guard = 0
-        while True:
-            guard += 1
-            if guard > bound:
-                return None
-            for q in range(1, len(marksA)):
-                delta = marksB[q] - marksA[q]
-                if delta > 0:
-                    zA, marksA = _pad_at(p, zA, marksA, marksA[q] - 1, delta)
-                    break
-                if delta < 0:
-                    zB, marksB = _pad_at(p, zB, marksB, marksB[q] - 1, -delta)
-                    break
-            else:
-                nA, nB = leaf_count(zA), leaf_count(zB)
-                if nA < nB:
-                    zA, marksA = _pad_at(p, zA, marksA, nA, nB - nA)
-                elif nB < nA:
-                    zB, marksB = _pad_at(p, zB, marksB, nB, nA - nB)
-                else:
-                    break
+        pads = 0        # a pad at mark q leaves the marks before q in place
+        for q in range(1, len(marksA)):
+            delta = marksB[q] - marksA[q]
+            if delta > 0:
+                zA, marksA = _pad_at(p, zA, marksA, marksA[q] - 1, delta)
+            elif delta < 0:
+                zB, marksB = _pad_at(p, zB, marksB, marksB[q] - 1, -delta)
+            pads += delta != 0
+        nA, nB = leaf_count(zA), leaf_count(zB)
+        if nA < nB:
+            zA, marksA = _pad_at(p, zA, marksA, nA, nB - nA)
+        elif nB < nA:
+            zB, marksB = _pad_at(p, zB, marksB, nB, nA - nB)
+        if pads + (nA != nB) >= bound:
+            return None
         middle = PermutationElement(zB, identity_perm(leaf_count(zA)), zA, p)
         g = perm_multiply(perm_invert(cB), perm_multiply(middle, cA, bound), bound)
     except fractions.Unresolved:

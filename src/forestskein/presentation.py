@@ -212,12 +212,7 @@ def parse(text: str) -> SkeinPresentation:
             raise PresentationError(f"unknown declaration {key!r}", lineno)
     if not colours:
         raise PresentationError("missing `colors:` declaration")
-    try:
-        return SkeinPresentation(tuple(colours), tuple(relations), name)
-    except PresentationError:
-        raise
-    except ValueError as e:
-        raise PresentationError(str(e)) from e
+    return SkeinPresentation(tuple(colours), tuple(relations), name)
 
 
 def _parse_side(text: str) -> Tree:

@@ -21,11 +21,13 @@ Of the calls that read every terminal, only `reverse` decodes them into
 pairs of positive words (`scc_at`, `ore_spine._mcm_trees`).  A caller that
 needs the unique complement pair of two positive words runs
 `_complement_codes`, which cuts the one terminal code word at its sign
-boundary and decodes nothing: the Ore witnesses and vine-word evaluation in
-`fractions`, the cofinal Ore search (`ore_spine._monochromatic_candidate`,
-`_absorption_check`) and `multiple_leaf_starts` keep complements as code
-words and decode (`_Rules.decode`) at most the words they return; the cube
-expressions of `is_complete` read `complement`, which decodes its pair.
+boundary and decodes nothing: the Ore witnesses, their leaf starts
+(`fractions.witness_starts`, through `_Rules.block_starts`) and vine-word
+evaluation in `fractions`, and the cofinal Ore search
+(`ore_spine._monochromatic_candidate`, `_absorption_check`) keep complements
+as code words and decode (`_Rules.decode`) at most the words they return;
+the cube expressions of `is_complete` read `complement`, which decodes its
+pair.
 `reverses_to_empty`, `words_equal` and `left_divides` ask only whether some
 terminal meets a goal (the empty word, or a word with no negative letter),
 so they answer on the code words without decoding, and the branching search
@@ -123,8 +125,10 @@ class _Rules:
     order (the deletion first when a = b), each a code tuple with its largest
     magnitude; filled on first use, it holds at most C² entries per index
     reached.  `letters` decodes a signed code, `codes` and `decode` translate
-    positive words, and `trees` codes the canonical word of a tree (the point
-    scan's, of at most `_EXACT_SCAN_CAP` carets).
+    positive words, and `block_starts` reads the leaf starts of a coded
+    forest.  `trees` codes the canonical word of each tree whose witness
+    starts were read (`fractions.witness_starts`): the point scan's
+    candidates and the trees of compared points.
     """
 
     def __init__(self, p: SkeinPresentation):
@@ -181,6 +185,14 @@ class _Rules:
     def split(self, word) -> tuple:
         """Decode a pattern-free word into (positive prefix, positive suffix word)."""
         return tuple(map(self.decode, _cut(word)))
+
+    def block_starts(self, codes, roots: int) -> list:
+        """`leaf_starts(forest_from_word(self.decode(codes), roots))`."""
+        starts, C = list(range(roots)), self.C
+        for a in codes:     # the letter splits leaf a // C - 2: later blocks move right
+            for b in range(bisect.bisect_right(starts, a // C - 2), roots):
+                starts[b] += 1
+        return starts
 
 
 def _cut(word) -> tuple:
@@ -367,29 +379,6 @@ def _complement_codes(rules: _Rules, u, v, budget: ReversingBudget | None = None
     if status in ("terminated", "empty"):
         return (status, *_cut(words[0]))
     return status, None, None
-
-
-def multiple_leaf_starts(p: SkeinPresentation, t, s) -> tuple | None:
-    """`leaf_starts` of both forests of `fractions.common_multiple_witness(p, t, s)`,
-    read off the terminal code word of the one reversal of t^-1 s; None when it
-    blocks or runs over the default budget.  Complemented presentations only."""
-    rules = _rules(p)
-    if not rules.deterministic:
-        raise ValueError("multiple_leaf_starts needs a complemented presentation")
-    u, v = rules.trees[t], rules.trees[s]
-    _status, left, right = _complement_codes(rules, u, v)
-    if left is None:
-        return None
-    return _block_starts(rules.C, left, len(u) + 1), _block_starts(rules.C, right, len(v) + 1)
-
-
-def _block_starts(C: int, codes, roots: int) -> list:
-    """`leaf_starts(forest_from_word(letters, roots))` for coded positive letters."""
-    starts = list(range(roots))
-    for a in codes:     # the letter splits leaf a // C - 2: later blocks move right
-        for b in range(bisect.bisect_right(starts, a // C - 2), roots):
-            starts[b] += 1
-    return starts
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from forestskein import corpus, oracle, reversing
 from forestskein.cli import main
@@ -210,7 +212,10 @@ def test_eval_deep_literal():
     ("qspace", "free1", "compare", "a(I,I):1", "a(I,I):2", "--bound"),
     ("spine", "cleary", "--max-carets"),
     ("spine", "cleary", "--max-stages"),
-], ids=["check-bound", "eval-bound", "qspace-bound", "max-carets", "max-stages"])
+    ("qspace", "cleary", "transitivity", "--k"),
+    ("present", "cleary", "--infinite", "--abelian", "--max-index"),
+], ids=["check-bound", "eval-bound", "qspace-bound", "max-carets", "max-stages",
+        "qspace-k", "max-index"])
 def test_bounds_below_one_exit_2(args, value):
     res = run(*args, value, "--json")
     assert res.exit_code == 2
@@ -336,3 +341,63 @@ def test_python_dash_m():
                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert "cleary" in res.stdout
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under generated arguments: small literals, some of
+# them malformed or over unknown colours, and integer options from -2 to 4.
+
+SOURCES = st.sampled_from(["cleary", "free1", "ternary", "gn3", "rebel", "notlc", "no-such"])
+SMALL = st.one_of(st.integers(1, 4), st.integers(-2, 0)).map(str)
+COLOURS = st.sampled_from("abc")
+TREES = st.one_of(
+    st.recursive(st.just("I"), lambda sub: st.builds("{}({},{})".format, COLOURS, sub, sub),
+                 max_leaves=5),
+    st.sampled_from(["", "a(I)", "I,I", "a(I,I", "a1 a2"]))
+POINTS = st.builds("{}:{}".format, TREES, st.integers(-1, 5))
+FRACTIONS = st.builds("[{} ; {}]".format, TREES, TREES)
+TOKENS = st.builds("{}{}{}{}".format, COLOURS, st.sampled_from(["", "h"]), st.integers(0, 4),
+                   st.sampled_from(["", "^-1"]))
+EXPRS = st.one_of(FRACTIONS, st.lists(TOKENS, min_size=1, max_size=4).map(" ".join))
+PERMS = st.sampled_from(["id", "cyc2", "cyc3", "(2,1)", "(1,1)", "(2,3,1)", "rot"])
+ELEMENTS = st.one_of(st.builds("[{} ; {} ; {}]".format, TREES, PERMS, TREES), FRACTIONS)
+
+
+def _argv(head, flags, ints):
+    """head, then some of the flags, then some integer options with small values."""
+    return st.builds(
+        lambda h, fs, opts: [*h, *fs, *itertools.chain.from_iterable(opts)],
+        head, st.lists(st.sampled_from(flags), unique=True),
+        st.lists(st.tuples(st.sampled_from(ints), SMALL),
+                 max_size=len(ints), unique_by=lambda o: o[0]))
+
+
+ARGV = st.one_of(
+    _argv(st.tuples(st.just("check"), SOURCES),
+          ["--lc", "--complete", "--complemented", "--ore", "--json"], ["--bound"]),
+    _argv(st.tuples(st.just("spine"), SOURCES), ["--json"], ["--max-carets", "--max-stages"]),
+    _argv(st.tuples(st.just("present"), SOURCES),
+          ["--infinite", "--monoid", "--abelian", "--format=cas", "--colour=b", "--json"],
+          ["--max-index"]),
+    _argv(st.one_of(st.tuples(st.just("eval"), SOURCES, EXPRS),
+                    st.tuples(st.just("eval"), SOURCES, EXPRS, st.just("eq"), EXPRS)),
+          ["--colour=b", "--json"], ["--bound"]),
+    _argv(st.one_of(st.tuples(st.just("qspace"), SOURCES, st.just("compare"), POINTS, POINTS),
+                    st.tuples(st.just("qspace"), SOURCES, st.just("act"), ELEMENTS, POINTS),
+                    st.tuples(st.just("qspace"), SOURCES, st.just("transitivity")),
+                    st.tuples(st.just("qspace"), SOURCES, st.just("stabilizer"), TREES)),
+          ["--json"], ["--bound", "--k", "--samples", "--seed"]),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(["qspace", "cleary", "transitivity", "--k", "0"])
+@example(["present", "cleary", "--infinite", "--max-index", "0", "--abelian"])
+@example(["examples", "f-tau", "--colours", "a,b", "--words", "x1;x1"])
+@example(["eval", "cleary", "[c(I,I) ; a(I,I)]"])
+@example(["qspace", "cleary", "compare", "c(I,I):1", "a(I,I):1"])
+@given(ARGV)
+def test_cli_exit_contract(argv):
+    res = run(*argv)
+    assert res.exit_code in (0, 2, 3), (argv, res.exception)
+    assert "Traceback" not in res.output

@@ -20,6 +20,7 @@ from forestskein.forest import (
     caret_count,
     compose,
     leaf_count,
+    leaf_starts,
     parse_tree,
     parse_word,
     random_forest,
@@ -232,6 +233,27 @@ def test_oracle_witnesses_pinned():
     out = _pinned_witnesses()
     assert 0 < out.count("Unresolved") < len(out)
     assert hashlib.sha256("\n".join(out).encode()).hexdigest() == PINNED_WITNESSES
+
+
+def test_witness_starts_match_the_witness(cleary, ternary, free2, notlc, rebel):
+    # cleary, ternary and free2 read the starts off code words; notlc and
+    # rebel take the oracle route
+    rng, answers = random.Random(9), set()
+    for p, carets, bound in ((cleary, 7, 14), (ternary, 7, 14), (free2, 7, 14),
+                             (notlc, 4, 4), (rebel, 4, 4)):
+        for _ in range(300 if bound == 14 else 60):
+            t, s = (random_tree(rng, p.colours, rng.randrange(carets)) for _ in range(2))
+            try:
+                expected = tuple(map(leaf_starts, fr.common_multiple_witness(p, t, s, bound)))
+            except fr.Unresolved:
+                expected = None
+            try:
+                got = fr.witness_starts(p, t, s, bound)
+            except fr.Unresolved:
+                got = None
+            assert got == expected
+            answers.add((fr.uses_reversing(p), got is None))
+    assert len(answers) == 4        # both routes resolve some pairs and not others
 
 
 # sha256 of `fsk check --json` and `fsk spine --json` (exit code, then the

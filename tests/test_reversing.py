@@ -320,23 +320,7 @@ def test_block_starts_match_the_decoded_forest(ternary):
         word = [(rng.choice(ternary.colours), rng.randint(1, roots + n))
                 for n in range(rng.randint(0, 12))]
         codes = rules.encode(rv.positive_word(word))
-        assert rv._block_starts(rules.C, codes, roots) == \
-            leaf_starts(forest_from_word(word, roots))
-
-
-def test_multiple_leaf_starts_match_the_witness(cleary, ternary, free2, notlc):
-    rng = random.Random(9)
-    for p in (cleary, ternary, free2):
-        for _ in range(300):
-            t, s = (random_tree(rng, p.colours, rng.randrange(7)) for _ in range(2))
-            try:
-                f, f2 = fractions.common_multiple_witness(p, t, s, 14)
-                expected = leaf_starts(f), leaf_starts(f2)
-            except fractions.Unresolved:
-                expected = None
-            assert rv.multiple_leaf_starts(p, t, s) == expected
-    with pytest.raises(ValueError):
-        rv.multiple_leaf_starts(notlc, None, None)
+        assert rules.block_starts(codes, roots) == leaf_starts(forest_from_word(word, roots))
 
 
 # The answers of `reverses_to_empty`, `words_equal` and `left_divides` as
