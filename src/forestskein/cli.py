@@ -414,6 +414,17 @@ def examples():
     """List or emit the built-in presentation corpus."""
 
 
+def _write_fsk(directory: str, name: str, body: str) -> None:
+    """Write name.fsk into directory and print its path; a failed write exits 2."""
+    path = os.path.join(directory, f"{name}.fsk")
+    try:
+        with open(path, "w") as fh:
+            fh.write(body)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}")
+    click.echo(path)
+
+
 @examples.command("list")
 def examples_list():
     for name in corpus.names():
@@ -429,10 +440,7 @@ def examples_emit(name, directory):
         body = corpus.text(name)
     except KeyError as e:
         raise CliError(str(e))
-    path = os.path.join(directory, f"{name}.fsk")
-    with open(path, "w") as fh:
-        fh.write(body)
-    click.echo(path)
+    _write_fsk(directory, name, body)
 
 
 @examples.command("f-tau")
@@ -444,16 +452,13 @@ def examples_emit(name, directory):
 def examples_f_tau(colours, words, name, directory):
     cols = [c.strip() for c in colours.split(",")]
     shape_words = [w.strip() for w in words.split(";")]
-    if len(cols) != len(shape_words):
-        raise CliError("need exactly one shape word per colour")
+    if len(cols) != len(shape_words) or len(set(cols)) != len(cols):
+        raise CliError("need distinct colour names and exactly one shape word per colour")
     try:
         result = corpus.f_tau_from_words(dict(zip(cols, shape_words)), name=name)
     except (PresentationError, ForestError) as e:
         raise CliError(str(e))
-    path = os.path.join(directory, f"{name}.fsk")
-    with open(path, "w") as fh:
-        fh.write(render(result.presentation))
-    click.echo(path)
+    _write_fsk(directory, name, render(result.presentation))
     click.echo(f"lc: {result.lc.verdict}; ore: {result.ore.verdict}; "
                f"spine size: {result.spine_report.size}; "
                f"F-infinity: {'proved' if result.f_infinity else 'unknown'}")

@@ -288,6 +288,23 @@ def rewrite_at(f: Forest, site: Occurrence, u: Tree, u2: Tree) -> Forest:
     return f[:i] + (_replace_at(f[i], path, new_node),) + f[i + 1:]
 
 
+def neighbours(f: Forest, sides: dict) -> Iterator[Forest]:
+    """The forests one rewrite from f, in one walk over its trees: at each vertex,
+    each (u, u2) in sides[its colour] whose u matches there rewrites u to u2."""
+    for i, t in enumerate(f):
+        stack = [(t, ())]
+        while stack:
+            node, path = stack.pop()
+            if node is None:
+                continue
+            for u, u2 in sides.get(node[0], ()):
+                if _matches_prefix(node, u):
+                    subs: list = []
+                    _hanging(node, u, subs)
+                    yield f[:i] + (_replace_at(t, path, graft(u2, subs)[0]),) + f[i + 1:]
+            stack += ((node[2], path + (1,)), (node[1], path + (0,)))
+
+
 def divide(f: Forest, g: Forest) -> Optional[Forest]:
     """h with compose(f, h) == g exactly, or None when f is not a rooted subforest."""
     if len(f) != len(g):

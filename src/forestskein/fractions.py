@@ -1,7 +1,7 @@
 """Fraction-group arithmetic: pairs [t, s] of equal-arity trees modulo common growth.
 
 Multiplication needs Ore witnesses: forests p, p' growing two trees into a
-common congruence class.  Two interchangeable strategies provide them:
+common congruence class, from one of two strategies, picked by `route(p)`:
 
   * reversing, when the presentation is complemented and complete — the
     complement (s\\s', s'\\s) is a witness pair and equality of trees is
@@ -14,7 +14,7 @@ Witness searches are semidecidable, so a bound exhaustion surfaces as the
 `Unresolved` exception rather than a false answer.
 
 On the reversing route every witness is the complement pair of one
-reversal (`reversing._complement_codes`), kept as code words: the two
+reversal (`reversing.complement_codes`), kept as code words: the two
 witness forests are decoded from codes, `witness_starts` reads their block
 starts without building them, and words in the vine generators
 b_j, b^_j (`word_to_element`) keep the numerator and denominator as code
@@ -78,9 +78,10 @@ def invert(g: GroupElement) -> GroupElement:
 
 
 @per_presentation
-def uses_reversing(p: SkeinPresentation) -> bool:
-    """Complemented + complete presentations get the reversing fast path."""
-    return is_complemented(p) and reversing.is_complete(p).verdict == "complete"
+def route(p: SkeinPresentation):
+    """The reversing rules of p when it is complemented and complete, else None (oracle)."""
+    complete = is_complemented(p) and reversing.is_complete(p).verdict == "complete"
+    return reversing.rules_of(p) if complete else None
 
 
 def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree,
@@ -91,7 +92,7 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree,
     u, v = word_from_tree(t), word_from_tree(s)    # iterative, unlike tuple ==
     if u == v:
         return True
-    if uses_reversing(p):
+    if route(p) is not None:
         ans = reversing.words_equal(p, u, v)
         if ans == "unknown":
             raise Unresolved("tree equivalence check exceeded the reversing budget")
@@ -108,7 +109,7 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree,
 def _witness_codes(rules, u, v) -> tuple:
     """(u\\v, v\\u) for code words u, v from the one reversal of u^-1 v, or
     raise Unresolved."""
-    status, left, right = reversing._complement_codes(rules, u, v)
+    status, left, right = reversing.complement_codes(rules, u, v)
     if left is not None:
         return left, right
     if status == "blocked":
@@ -119,8 +120,8 @@ def _witness_codes(rules, u, v) -> tuple:
 def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree,
                             bound: int | None = None) -> tuple:
     """Forests (f, f') with t . f ~ s . f', or raise Unresolved."""
-    if uses_reversing(p):
-        rules = reversing._rules(p)
+    rules = route(p)
+    if rules is not None:
         u, v = _witness_codes(rules, *(rules.codes(word_from_tree(x)) for x in (t, s)))
         return (forest_from_word(rules.decode(u), leaf_count(t)),
                 forest_from_word(rules.decode(v), leaf_count(s)))
@@ -142,10 +143,10 @@ def witness_starts(p: SkeinPresentation, t: Tree, s: Tree,
                    bound: int | None = None) -> tuple:
     """`leaf_starts` of both forests of `common_multiple_witness(p, t, s, bound)`,
     or raise Unresolved.  On the reversing route they are read off the
-    complement code words of the trees' codes (`_Rules.trees`), and no forest
+    complement code words of the trees' codes (`rules.trees`), and no forest
     is built."""
-    if uses_reversing(p):
-        rules = reversing._rules(p)
+    rules = route(p)
+    if rules is not None:
         u, v = rules.trees[t], rules.trees[s]
         left, right = _witness_codes(rules, u, v)
         return rules.block_starts(left, len(u) + 1), rules.block_starts(right, len(v) + 1)
@@ -248,7 +249,7 @@ def word_to_element(letters, base_colour: str, p: SkeinPresentation,
     complements extend the numerator and d; both trees are decoded once at
     the end.  Otherwise each letter is multiplied in as a pair of trees.
     """
-    rules = reversing._rules(p) if uses_reversing(p) else None
+    rules = route(p)
     out, num, den = identity(p), [], []
     for colour, index, hatted, sign in letters:
         if colour not in p.colours:

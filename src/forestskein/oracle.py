@@ -6,15 +6,15 @@ preserves (root count, caret count) and every congruence class is finite.
 `class_members` is the only reader of one congruence class: equivalence,
 class order, the spine's monochromatic representatives and `descend`
 (behind both normal forms) go through it.  It searches the class from the
-forest by `_neighbours`, one walk per tree that rewrites, at each vertex,
-the relation sides rooted in its colour, and memoizes the sorted class as
-one list shared by its members.  `multiple_classes` reads the classes of
-the multiples x . g of x at one caret level, once per (x, k), for mcm,
-absorption and fraction witnesses; the Ore and left-cancellativity checks
-read them unsorted and compare the shared lists by identity.
+forest by `forest.neighbours`, one walk per tree that rewrites, at each
+vertex, the relation sides rooted in its colour, and memoizes the sorted
+class as one list shared by its members.  `multiple_classes` reads the
+classes of the multiples x . g of x at one caret level, once per (x, k),
+for mcm, absorption and fraction witnesses; the Ore and left-cancellativity
+checks read them unsorted and compare the shared lists by identity.
 
 `saturate` enumerates a whole stratum and joins each forest to its
-`_neighbours` by a union-find.  Its tables are the ground truth of the
+`neighbours` by a union-find.  Its tables are the ground truth of the
 tests and the benchmark sweep only, against which the reversing engine and
 the class search are checked.
 
@@ -38,9 +38,6 @@ from .forest import (
     Tree,
     caret,
     caret_count,
-    _hanging,
-    _matches_prefix,
-    _replace_at,
     compose,
     divide,
     forest_caret_count,
@@ -48,7 +45,7 @@ from .forest import (
     forest_key,
     forest_leaf_count,
     forests_with_carets,
-    graft,
+    neighbours,
     render_forest,
 )
 from .presentation import SkeinPresentation, per_presentation
@@ -108,24 +105,6 @@ def _admit(p: SkeinPresentation, roots: int, carets: int, budget: OracleBudget) 
             f"{budget.class_cap} forests")
 
 
-def _neighbours(p: SkeinPresentation, f: Forest):
-    """The forests one rewrite from f, in one walk over its trees: at each
-    vertex, every side rooted in its colour that matches there is rewritten."""
-    sides = _sides(p)
-    for i, t in enumerate(f):
-        stack = [(t, ())]
-        while stack:
-            node, path = stack.pop()
-            if node is None:
-                continue
-            for u, u2 in sides.get(node[0], ()):
-                if _matches_prefix(node, u):
-                    subs: list = []
-                    _hanging(node, u, subs)
-                    yield f[:i] + (_replace_at(t, path, graft(u2, subs)[0]),) + f[i + 1:]
-            stack += ((node[2], path + (1,)), (node[1], path + (0,)))
-
-
 def saturate(p: SkeinPresentation, roots: int, carets: int,
              budget: OracleBudget | None = None) -> CongruenceTable:
     """Congruence table for the stratum (roots, <= carets).  Memoized, thread-safe."""
@@ -142,10 +121,10 @@ def _build(p: SkeinPresentation, roots: int, carets: int) -> CongruenceTable:
     all_forests = [f for k in range(carets + 1)
                    for f in forests_with_carets(p.colours, roots, k)]
     index = {f: i for i, f in enumerate(all_forests)}
-    uf = _UnionFind(len(all_forests))
+    uf, sides = _UnionFind(len(all_forests)), _sides(p)
     for f in all_forests:
         i = index[f]
-        for g in _neighbours(p, f):
+        for g in neighbours(f, sides):
             uf.union(i, index[g])
     rank = p.colour_rank
     groups: dict = {}
@@ -182,9 +161,9 @@ def _search_class(p: SkeinPresentation, f: Forest) -> list:
     cached = memo.get(f)
     if cached is not None:
         return cached
-    seen, stack = {f}, [f]
+    seen, stack, sides = {f}, [f], _sides(p)
     while stack:
-        for h in _neighbours(p, stack.pop()):
+        for h in neighbours(stack.pop(), sides):
             if h not in seen:
                 seen.add(h)
                 stack.append(h)

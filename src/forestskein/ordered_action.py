@@ -154,7 +154,7 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
 
     (best_t,), best_j = oracle.descend(p, ((t,), j), key, prune, oracle_budget)
     k = caret_count(best_t)
-    if k == 0 or not fractions.uses_reversing(p) or k > _EXACT_SCAN_CAP:
+    if k == 0 or fractions.route(p) is None or k > _EXACT_SCAN_CAP:
         return OrderedPoint(best_t, best_j, p)
     for cand in itertools.chain.from_iterable(
             trees_in_key_order(p.colours, carets) for carets in range(k + 1)):

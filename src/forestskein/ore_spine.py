@@ -83,10 +83,10 @@ def _monochromatic_candidate(p: SkeinPresentation):
     Built as the iterated join u(u\\v) of the colour carets; checked against
     its congruence class, which also yields the per-colour representatives.
     """
-    rules = reversing._rules(p)
+    rules = reversing.rules_of(p)
     word = rules.codes([(p.colours[0], 1)])
     for c in p.colours[1:]:
-        left = reversing._complement_codes(rules, word, rules.codes([(c, 1)]))[1]
+        left = reversing.complement_codes(rules, word, rules.codes([(c, 1)]))[1]
         if left is None:
             return None, {}
         word += left
@@ -158,13 +158,13 @@ def _absorption_check(p, t, bound, depth):
     t_{d-1}: one reversal against t per level.  "Divides" is sound on every
     presentation; a reversal that does not terminate reads "does not divide".
     """
-    rules, n = reversing._rules(p), leaf_count(t)
+    rules, n = reversing.rules_of(p), leaf_count(t)
     wt = rules.codes(word_from_tree(t))
     # complements carry leaf indices of t, which pass the default ceiling
     wide = ReversingBudget(index_ceiling=max(ReversingBudget.index_ceiling, 2 * n + 8))
 
     def divides(s, d):
-        left = reversing._complement_codes(rules, wt, rules.codes(word_from_tree(s)), wide)[1]
+        left = reversing.complement_codes(rules, wt, rules.codes(word_from_tree(s)), wide)[1]
         return left is not None and (not left or d > 1 and all(
             u is None or divides(u, d - 1) for u in forest_from_word(rules.decode(left), n)))
 
@@ -251,7 +251,7 @@ def spine(p: SkeinPresentation,
     lc = reversing.decide_left_cancellative(p)
     warning = None if lc.verdict == "yes" else \
         f"left-cancellativity is {lc.verdict}; spine classes may be unreliable"
-    strategy = "exact" if fractions.uses_reversing(p) else "reversing-evidence"
+    strategy = "exact" if fractions.route(p) is not None else "reversing-evidence"
 
     stage = _dedupe(p, [caret(c) for c in p.colours])
     stages = [stage]

@@ -15,19 +15,17 @@ complemented presentations there is at most one move per pattern and the
 procedure is deterministic; otherwise every move is explored exhaustively.
 `_run` is the one place that picks the engine.  Words are letter tuples at
 the interface and signed ints inside the loops, with the equal-index moves
-read from a per-presentation table (`_Rules`).
+read from a per-presentation table (`_Rules`, read through `rules_of`).
 
 Of the calls that read every terminal, only `reverse` decodes them into
-pairs of positive words (`scc_at`, `ore_spine._mcm_trees`).  A caller that
-needs the unique complement pair of two positive words runs
-`_complement_codes`, which cuts the one terminal code word at its sign
-boundary and decodes nothing: the Ore witnesses, their leaf starts
-(`fractions.witness_starts`, through `_Rules.block_starts`) and vine-word
-evaluation in `fractions`, and the cofinal Ore search
-(`ore_spine._monochromatic_candidate`, `_absorption_check`) keep complements
-as code words and decode (`_Rules.decode`) at most the words they return;
-the cube expressions of `is_complete` read `complement`, which decodes its
-pair.
+pairs of positive words (`scc_at`, the spine's mcm trees).  The code-word
+seam for other modules is `rules_of(p)` with `complement_codes(rules, u, v)`,
+the unique complement pair of two positive code words, cut at the sign
+boundary of the one terminal and not decoded: the Ore witnesses, their leaf
+starts (`fractions.witness_starts`, through `block_starts`), vine-word
+evaluation and the cofinal Ore search keep complements as code words and
+decode (`rules.decode`) at most the words they return; the cube expressions
+of `is_complete` read `complement`, which decodes its pair.
 `reverses_to_empty`, `words_equal` and `left_divides` ask only whether some
 terminal meets a goal (the empty word, or a word with no negative letter),
 so they answer on the code words without decoding, and the branching search
@@ -226,14 +224,14 @@ def _derived_pairs(words) -> list:
     return derived
 
 
-_rules = per_presentation(_Rules)
+rules_of = per_presentation(_Rules)     # p -> its _Rules, built once per presentation
 _DEFAULT_BUDGET = ReversingBudget()
 
 
 def reverse(p: SkeinPresentation, w: SignedWord,
             budget: ReversingBudget | None = None) -> ReversalOutcome:
     """Reverse w: deterministically when p is complemented, else by exhaustive search."""
-    rules = _rules(p)
+    rules = rules_of(p)
     status, words, steps = _run(rules, rules.encode(w), budget)
     return ReversalOutcome(status, tuple(map(rules.split, words)), steps)
 
@@ -364,11 +362,11 @@ def _decide(rules: _Rules, w: tuple, budget: ReversingBudget | None, goal) -> st
 def reverses_to_empty(p: SkeinPresentation, w: SignedWord,
                       budget: ReversingBudget | None = None) -> str:
     """'yes' when some reversal run of w reaches the empty word, 'no', or 'unknown'."""
-    rules = _rules(p)
+    rules = rules_of(p)
     return _decide(rules, rules.encode(w), budget, _empty)
 
 
-def _complement_codes(rules: _Rules, u, v, budget: ReversingBudget | None = None) -> tuple:
+def complement_codes(rules: _Rules, u, v, budget: ReversingBudget | None = None) -> tuple:
     """(status, u\\v, v\\u) for code words u, v of positive words.
 
     The complements are the one terminal of the reversal of u^-1 v, cut at
@@ -390,10 +388,10 @@ def complement(p: SkeinPresentation, u, v):
     Only meaningful on complemented presentations, where the reversal is
     deterministic and the complement unique.
     """
-    rules = _rules(p)
+    rules = rules_of(p)
     if not rules.deterministic:
         raise ValueError("complement is defined for complemented presentations only")
-    status, left, right = _complement_codes(rules, rules.codes(u), rules.codes(v))
+    status, left, right = complement_codes(rules, rules.codes(u), rules.codes(v))
     if left is not None:
         return rules.decode(left), rules.decode(right)
     if status == "blocked":
@@ -408,7 +406,7 @@ def left_divides(p: SkeinPresentation, u, v,
     Via reversing: u^-1 v must reverse to a purely positive word.  "yes" is
     sound always; "no" is conclusive only for complete presentations.
     """
-    rules = _rules(p)
+    rules = rules_of(p)
     return _decide(rules, _quotient(rules.codes(u), rules.codes(v)), budget, _positive)
 
 
@@ -423,7 +421,7 @@ def words_equal(p: SkeinPresentation, u, v,
         return "no"
     if tuple(u) == tuple(v):
         return "yes"
-    rules = _rules(p)
+    rules = rules_of(p)
     return _decide(rules, _quotient(rules.codes(u), rules.codes(v)), budget, _empty)
 
 
@@ -531,7 +529,7 @@ def decide_left_cancellative(p: SkeinPresentation) -> Certificate:
     """yes / no / unknown with a certificate naming the deciding branch."""
     comp = is_complete(p)
     if comp.verdict == "complete" and all(
-            words_equal(p, tail_l, tail_r) == "yes" for tail_l, tail_r in _rules(p).same_root):
+            words_equal(p, tail_l, tail_r) == "yes" for tail_l, tail_r in rules_of(p).same_root):
         return Certificate("yes", "complete-no-shared-head",
                            {"completeness": comp.criterion})
     ce = oracle.refute_left_cancellative(p, LC_REFUTE_BOUND)

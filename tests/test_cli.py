@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,27 @@ def test_examples_f_tau_non_integer_index_exit_2(tmp_path):
     assert "integers" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["emit", "dv2", "--dir", "{tmp}/missing"],
+    ["f-tau", "--colours", "a,b", "--words", "1;1", "--dir", "{tmp}/missing"],
+    ["f-tau", "--colours", "a,b", "--words", "1;1", "--name", "sub/f_tau", "--dir", "{tmp}"],
+])
+def test_examples_unwritable_target_exit_2(args, tmp_path):
+    res = run("examples", *(a.replace("{tmp}", str(tmp_path)) for a in args))
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "cannot write" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_examples_f_tau_repeated_colour_exit_2(tmp_path):
+    # one shape word per colour name: a repeated name would drop a word
+    res = run("examples", "f-tau", "--colours", "a,a", "--words", "1;1 1", "--dir", str(tmp_path))
+    assert res.exit_code == 2
+    assert "distinct colour names" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_examples_f_tau_long_vines(tmp_path):
     # the third iterate of a 1,200-caret vine has about 1.7e9 carets; the
     # absorption check reaches it through complements against the vine
@@ -387,6 +409,13 @@ ARGV = st.one_of(
                     st.tuples(st.just("qspace"), SOURCES, st.just("transitivity")),
                     st.tuples(st.just("qspace"), SOURCES, st.just("stabilizer"), TREES)),
           ["--json"], ["--bound", "--k", "--samples", "--seed"]),
+    # "{tmp}" stands for a fresh scratch directory of each example
+    st.builds(lambda cols, words, where: ["examples", "f-tau", "--colours", cols,
+                                          "--words", ";".join(words), "--dir", where],
+              st.sampled_from(["a", "a,b", "a,a", "b,a,c", "a,"]),
+              st.lists(st.lists(st.integers(0, 3).map(str), max_size=3).map(" ".join),
+                       min_size=1, max_size=3),
+              st.sampled_from(["{tmp}", "{tmp}/missing"])),
 )
 
 
@@ -394,10 +423,12 @@ ARGV = st.one_of(
 @example(["qspace", "cleary", "transitivity", "--k", "0"])
 @example(["present", "cleary", "--infinite", "--max-index", "0", "--abelian"])
 @example(["examples", "f-tau", "--colours", "a,b", "--words", "x1;x1"])
+@example(["examples", "f-tau", "--colours", "a,b", "--words", "1;1", "--dir", "{tmp}/missing"])
 @example(["eval", "cleary", "[c(I,I) ; a(I,I)]"])
 @example(["qspace", "cleary", "compare", "c(I,I):1", "a(I,I):1"])
 @given(ARGV)
 def test_cli_exit_contract(argv):
-    res = run(*argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        res = run(*(a.replace("{tmp}", tmp) for a in argv))
     assert res.exit_code in (0, 2, 3), (argv, res.exception)
     assert "Traceback" not in res.output

@@ -12,6 +12,9 @@ saturated strata, the oracle's ground truth:
 
 The bounded Ore check, which compares classes by identity, also gives the
 report of a reference that compares canonical members of sorted class reads.
+A left-cancellativity "yes" meets no counterexample at the refutation bound,
+and vine words evaluate to equal fractions on the reversing and the oracle
+route.
 """
 
 import functools
@@ -20,7 +23,7 @@ import random
 
 import pytest
 
-from forestskein import corpus, oracle, ore_spine, reversing
+from forestskein import corpus, fractions, oracle, ore_spine, reversing
 from forestskein.config import (
     ABSORPTION_BOUND,
     LC_REFUTE_BOUND,
@@ -150,3 +153,35 @@ def test_generated_presentations_include_counterexamples():
     # the mix exercises both answers of the refutation
     refuted = [name for name in CASES if name.startswith("gen") and _refutation(name)]
     assert 5 <= len(refuted) < 40
+
+
+def test_lc_yes_meets_no_counterexample():
+    from test_ore_spine import _families
+
+    presentations = [corpus.load(name) for name in corpus.names()] + _families()
+    yes = [p for p in presentations if reversing.decide_left_cancellative(p).verdict == "yes"]
+    assert len(yes) > 20
+    for p in yes:
+        assert oracle.refute_left_cancellative(p, LC_REFUTE_BOUND) is None, p.name
+
+
+@pytest.mark.parametrize("name", ["cleary", "ternary"])
+def test_word_routes_give_equal_fractions(name, monkeypatch):
+    # each word on the reversing route and, with `route` read as None, on the
+    # oracle route; `equals` on the reversing route compares the two results
+    p = corpus.load(name)
+    rng = random.Random(name)
+    words = [[(rng.choice(p.colours), rng.randint(1, 3), rng.random() < 0.3, rng.choice((1, -1)))
+              for _ in range(rng.randint(1, 4))] for _ in range(200)]
+    by_reversing = [fractions.word_to_element(w, p.colours[0], p) for w in words]
+    by_oracle = []
+    with monkeypatch.context() as m:
+        m.setattr(fractions, "route", lambda p: None)
+        for w in words:
+            try:
+                by_oracle.append(fractions.word_to_element(w, p.colours[0], p))
+            except fractions.Unresolved:
+                by_oracle.append(None)
+    answers = [fractions.equals(g, h) for g, h in zip(by_reversing, by_oracle) if h is not None]
+    assert False not in answers
+    assert answers.count(True) >= 0.9 * len(words)

@@ -161,7 +161,7 @@ def test_unresolved_is_first_class(free2):
 
 def test_equality_strategies_agree(cleary, rng):
     # reversing fast path against an oracle-style search over strata
-    assert fr.uses_reversing(cleary)
+    assert fr.route(cleary) is not None
     trees = [t for k in range(1, 4) for t in trees_with_carets(cleary.colours, k)]
 
     def oracle_equals(g, h, bound=7):
@@ -217,7 +217,7 @@ def _pinned_witnesses():
     out = []
     for name in ("notlc", "rebel"):
         p = corpus.load(name)
-        assert not fr.uses_reversing(p)
+        assert fr.route(p) is None
         for _ in range(75):
             t, s = (random_tree(rng, p.colours, rng.randrange(5)) for _ in range(2))
             bound = max(caret_count(t), caret_count(s)) + rng.randrange(3)
@@ -252,7 +252,7 @@ def test_witness_starts_match_the_witness(cleary, ternary, free2, notlc, rebel):
             except fr.Unresolved:
                 got = None
             assert got == expected
-            answers.add((fr.uses_reversing(p), got is None))
+            answers.add((fr.route(p) is None, got is None))
     assert len(answers) == 4        # both routes resolve some pairs and not others
 
 
@@ -363,7 +363,7 @@ def test_word_to_element_pinned():
 
 
 def test_word_route_reverses_once_per_letter(cleary, ternary, monkeypatch):
-    assert fr.uses_reversing(cleary) and fr.uses_reversing(ternary)
+    assert fr.route(cleary) is not None and fr.route(ternary) is not None
     reversals = []
     engine = reversing._reverse_det
 

@@ -9,6 +9,7 @@ from forestskein.forest import (
     find_occurrences,
     forest_caret_count,
     forests_with_carets,
+    neighbours,
     parse_word,
     random_forest,
     random_tree,
@@ -107,7 +108,7 @@ def test_neighbours_are_the_single_rewrites():
             f = random_forest(rng, p.colours, rng.randint(1, 3), rng.randint(0, 7))
             want = [rewrite_at(f, occ, u, u2) for lhs, rhs in p.relations
                     for u, u2 in ((lhs, rhs), (rhs, lhs)) for occ in find_occurrences(f, u)]
-            assert sorted(map(render_forest, oracle._neighbours(p, f))) == \
+            assert sorted(map(render_forest, neighbours(f, oracle._sides(p)))) == \
                 sorted(map(render_forest, want))
 
 

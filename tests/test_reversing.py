@@ -314,7 +314,7 @@ def test_reversal_outcomes_pinned():
 
 def test_block_starts_match_the_decoded_forest(ternary):
     rng = random.Random(8)
-    rules = rv._rules(ternary)
+    rules = rv.rules_of(ternary)
     for _ in range(2000):
         roots = rng.randint(1, 5)
         word = [(rng.choice(ternary.colours), rng.randint(1, roots + n))
@@ -408,12 +408,12 @@ def test_complement_codes_match_reverse():
     budgets = (ReversingBudget(), ReversingBudget(steps=30), ReversingBudget(index_ceiling=6))
     seen = collections.Counter()
     for p in presentations:
-        rules = rv._rules(p)
+        rules = rv.rules_of(p)
         for budget in budgets:
             for _ in range(40):
                 u, v = (tuple((rng.choice(p.colours), rng.randint(1, 4))
                               for _ in range(rng.randint(0, 6))) for _ in range(2))
-                status, left, right = rv._complement_codes(
+                status, left, right = rv.complement_codes(
                     rules, rules.codes(u), rules.codes(v), budget)
                 out = rv.reverse(p, rv.inverse_product(u, v), budget)
                 decoded = None if left is None else (rules.decode(left), rules.decode(right))
@@ -448,7 +448,7 @@ def test_complements_do_not_decode_terminals(monkeypatch, cleary):
     monkeypatch.setattr(rv, "reverse", refuse)
     monkeypatch.setattr(rv._Rules, "split", refuse)
     assert rv.is_complete(ftau3).verdict == "complete"
-    assert fractions.uses_reversing(ftau3)
+    assert fractions.route(ftau3) is not None
     t, s = tree_from_word(parse_word("a1 b2")), tree_from_word(parse_word("b1 a1"))
     for p in (cleary, ftau3):
         f, f2 = fractions.common_multiple_witness(p, t, s)
@@ -485,7 +485,7 @@ def test_cube_defined_on_one_side_is_unknown():
     assert rv.cube_sides(p, "a", "b", "c") == ((), None)
     assert rv.is_complete(p) == rv.Certificate(
         "unknown", "complemented-cube-partial", {"triple": ["a", "b", "c"]})
-    assert not fractions.uses_reversing(p)
+    assert fractions.route(p) is None
     assert rv.decide_left_cancellative(p).verdict != "yes"
 
 
