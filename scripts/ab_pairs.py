@@ -7,10 +7,13 @@ Each pair runs `perfbench/run.py --workload W --seed S --trace 0` once in the
 base checkout and once in the checkout that holds this script.  The side
 that runs first switches from pair to pair, so a drift of the machine (a
 warm file cache, a neighbour's load) does not favour one side.  For every
-end-to-end metric it prints the median of each side, the ratio of change to
-base in every pair and the number of pairs that favour the change; the last
-line of standard output is the same summary as one JSON object.  Only the
-standard library is used, and nothing under perfbench/ is changed.
+end-to-end metric it prints the median of each side, each side's spread
+(the distance between its quartiles as a share of its median, so that a
+difference of medians smaller than the spread shows as such), the ratio of
+change to base in every pair and the number of pairs that favour the
+change; the last line of standard output is the same summary as one JSON
+object.  Only the standard library is used, and nothing under perfbench/ is
+changed.
 """
 
 from __future__ import annotations
@@ -48,8 +51,16 @@ def run_once(root: Path, args) -> dict:
     return {name: m["value"] for name, m in line["metrics"].items()}
 
 
+def iqr_share(values: list) -> float:
+    """The interquartile range of the runs as a share of their median; 0 for one run."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (q3 - q1) / statistics.median(values)
+
+
 def summarize(pairs: list, directions: dict) -> dict:
-    """Per metric: both medians, the per-pair ratios change/base, the pairs won."""
+    """Per metric: both medians and spreads, the per-pair ratios change/base, the pairs won."""
     out = {}
     for name, lower in directions.items():
         base = [b[name] for b, _ in pairs]
@@ -58,6 +69,8 @@ def summarize(pairs: list, directions: dict) -> dict:
         won = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
         out[name] = {"base_median": statistics.median(base),
                      "change_median": statistics.median(head),
+                     "base_iqr_share": round(iqr_share(base), 4),
+                     "change_iqr_share": round(iqr_share(head), 4),
                      "ratios": [round(r, 4) for r in ratios],
                      "pairs_favouring_change": won}
     return out
@@ -91,7 +104,8 @@ def main(argv=None) -> int:
     summary = summarize(pairs, directions)
     for name, s in summary.items():
         print(f"{name:12s} median {s['base_median']:.4g} -> {s['change_median']:.4g} "
-              f"(x{s['change_median'] / s['base_median']:.3f}); "
+              f"(x{s['change_median'] / s['base_median']:.3f}; IQR/median "
+              f"{s['base_iqr_share']:.1%} -> {s['change_iqr_share']:.1%}); "
               f"{s['pairs_favouring_change']}/{args.pairs} pairs favour the change; "
               f"ratios {s['ratios']}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,

@@ -336,7 +336,7 @@ def _parse_point(p, text: str) -> oa.OrderedPoint:
 @click.argument("args", nargs=-1)
 @click.option("--bound", type=click.IntRange(min=1), default=None)
 @click.option("--k", type=click.IntRange(min=1), default=2)
-@click.option("--samples", type=int, default=10)
+@click.option("--samples", type=click.IntRange(min=0), default=10)
 @click.option("--seed", type=int, default=0)
 @click.option("--json", "as_json", is_flag=True)
 def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
@@ -414,9 +414,18 @@ def examples():
     """List or emit the built-in presentation corpus."""
 
 
-def _write_fsk(directory: str, name: str, body: str) -> None:
-    """Write name.fsk into directory and print its path; a failed write exits 2."""
-    path = os.path.join(directory, f"{name}.fsk")
+def _fsk_path(directory: str, name: str) -> str:
+    """The path of name.fsk in directory, checked before anything is built:
+    an empty, hidden or path-like name, or a missing directory, exits 2."""
+    if (not name or name.startswith(".") or "/" in name or os.sep in name
+            or not os.path.isdir(directory)):
+        raise CliError(f"cannot write {name!r}.fsk into {directory}: the directory must "
+                       f"exist and the name be nonempty, without a leading '.' or '/'")
+    return os.path.join(directory, f"{name}.fsk")
+
+
+def _write_fsk(path: str, body: str) -> None:
+    """Write body to path and print the path; a failed write exits 2."""
     try:
         with open(path, "w") as fh:
             fh.write(body)
@@ -440,7 +449,7 @@ def examples_emit(name, directory):
         body = corpus.text(name)
     except KeyError as e:
         raise CliError(str(e))
-    _write_fsk(directory, name, body)
+    _write_fsk(_fsk_path(directory, name), body)
 
 
 @examples.command("f-tau")
@@ -454,11 +463,12 @@ def examples_f_tau(colours, words, name, directory):
     shape_words = [w.strip() for w in words.split(";")]
     if len(cols) != len(shape_words) or len(set(cols)) != len(cols):
         raise CliError("need distinct colour names and exactly one shape word per colour")
+    path = _fsk_path(directory, name)
     try:
         result = corpus.f_tau_from_words(dict(zip(cols, shape_words)), name=name)
     except (PresentationError, ForestError) as e:
         raise CliError(str(e))
-    _write_fsk(directory, name, render(result.presentation))
+    _write_fsk(path, render(result.presentation))
     click.echo(f"lc: {result.lc.verdict}; ore: {result.ore.verdict}; "
                f"spine size: {result.spine_report.size}; "
                f"F-infinity: {'proved' if result.f_infinity else 'unknown'}")

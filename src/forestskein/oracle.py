@@ -5,10 +5,11 @@ preserves (root count, caret count) and every congruence class is finite.
 
 `class_members` is the only reader of one congruence class: equivalence,
 class order, the spine's monochromatic representatives and `descend`
-(behind both normal forms) go through it.  It searches the class from the
-forest by `forest.neighbours`, one walk per tree that rewrites, at each
-vertex, the relation sides rooted in its colour, and memoizes the sorted
-class as one list shared by its members.  `multiple_classes` reads the
+(behind fraction normal forms, and behind point normal forms on the oracle
+route and over the exact scan's cap) go through it.  It searches the class
+from the forest by `forest.neighbours`, one walk per tree that rewrites, at
+each vertex, the relation sides rooted in its colour, and memoizes the
+sorted class as one list shared by its members.  `multiple_classes` reads the
 classes of the multiples x . g of x at one caret level, once per (x, k),
 for mcm, absorption and fraction witnesses; the Ore and left-cancellativity
 checks read them unsorted and compare the shared lists by identity.

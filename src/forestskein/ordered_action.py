@@ -2,10 +2,12 @@
 
 A point is a class [t, j] of a tree with a distinguished leaf, modulo
 growth: (t, j) ~ (t . f, j^f) where j^f is the first leaf of the j-th block
-of f.  Points are stored in normal form, the least representative reachable
-by pruning carets away from the distinguished leaf and rewriting inside the
-congruence class.  Comparison grows two points onto a common tree and
-compares leaf indices; the result is growth-invariant.
+of f.  Points are stored in normal form: on complemented complete
+presentations the least point-equal representative, found by pruning carets
+away from the distinguished leaf and an exact scan; elsewhere the least one
+reachable by pruning and rewriting inside the congruence class.  Comparison
+grows two points onto a common tree and compares leaf indices; the result
+is growth-invariant.
 
 Group elements with a permutation layer act on points.  Permutations are
 stored bottom-to-top: perm[i] is the strand position above slot i+1.  The
@@ -24,6 +26,7 @@ from typing import Optional
 
 from .config import FRACTION_BOUND, OracleBudget
 from .forest import (
+    LEAF,
     Forest,
     Tree,
     caret_count,
@@ -122,23 +125,62 @@ def raw_points_equal(p: SkeinPresentation, a: tuple, b: tuple,
 _EXACT_SCAN_CAP = 6
 
 
+def prune_point(t: Tree, j: int) -> tuple:
+    """The end (tree, leaf) of every prune chain from (t, j), in one walk.
+
+    A prune strips a caret of two leaves unless its right leaf is j.  At the
+    end every subtree off the path to leaf j is a leaf, a path caret that
+    goes left shrinks when its left subtree did, and one that goes right
+    stays, so the leaf is 1 + the right turns.  The end is unique, because
+    distinct strips commute (see `oracle.descend`).
+    """
+    start, stack = 1, [(t, None)]     # (node, (colour, went right, parent's link))
+    while stack:
+        node, up = stack.pop()
+        if node is not None:
+            stack.append((node[2], (node[0], True, up)))
+            stack.append((node[1], (node[0], False, up)))
+        elif start == j:
+            break
+        else:
+            start += 1
+    else:
+        raise ValueError(f"leaf {j} out of range 1..{start - 1}")
+    tree, leaf = LEAF, 1
+    while up is not None:
+        colour, went_right, up = up
+        if went_right:
+            tree, leaf = (colour, LEAF, tree), leaf + 1
+        elif tree is not LEAF:
+            tree = (colour, tree, LEAF)
+    return tree, leaf
+
+
 def normalize_point(p: SkeinPresentation, t: Tree, j: int,
                     oracle_budget: OracleBudget | None = None) -> OrderedPoint:
     """The least (canonical word, leaf) representative of the class.
 
-    Pruning and in-class rewriting (`oracle.descend`) shrink the pair first.
-    On complemented complete presentations the result is then made canonical
-    by scanning candidate trees in key order and taking the first pair that
-    is point-equal, which the reversing join decides exactly.  Each candidate
-    costs one reversal, read as the block starts of the Ore witness (f, f2)
-    with cand . f ~ best . f2 (`fractions.witness_starts`): the matching
-    leaf j' has j'^f == j^f2 (the starts increase strictly, so j' is unique),
-    and a candidate whose reversal blocks or runs over budget is skipped.
-    Elsewhere the shrunken pair is returned (descents can miss representatives
-    reachable only through a detour, so it is canonical only up to that caveat).
+    On complemented complete presentations the point is pruned in one walk
+    (`prune_point`) and made canonical by the exact scan
+    (`_least_equal_point`), and no congruence class is read.  A pruned tree
+    of more than `_EXACT_SCAN_CAP` carets is returned as it is without
+    relations; with relations the pair descends from (t, j) instead, and
+    the scan follows when the descent ends within the cap.
+
+    On other presentations pruning and in-class rewriting (`oracle.descend`,
+    under `oracle_budget`) shrink the pair and the result is returned:
+    descents can miss representatives reachable only through a detour, so
+    it is canonical only up to that caveat.
     """
     if not 1 <= j <= leaf_count(t):
         raise ValueError(f"leaf {j} out of range 1..{leaf_count(t)}")
+    exact = fractions.route(p) is not None
+    if exact:
+        pruned, leaf = prune_point(t, j)
+        if caret_count(pruned) <= _EXACT_SCAN_CAP:
+            return _least_equal_point(p, pruned, leaf)
+        if not p.relations:
+            return OrderedPoint(pruned, leaf, p)
     rank = p.colour_rank
 
     def key(state):
@@ -153,11 +195,24 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
             yield (strip_caret(tree, pos),), (leaf if leaf <= pos else leaf - 1)
 
     (best_t,), best_j = oracle.descend(p, ((t,), j), key, prune, oracle_budget)
-    k = caret_count(best_t)
-    if k == 0 or fractions.route(p) is None or k > _EXACT_SCAN_CAP:
+    if not exact or caret_count(best_t) > _EXACT_SCAN_CAP:
         return OrderedPoint(best_t, best_j, p)
+    return _least_equal_point(p, best_t, best_j)
+
+
+def _least_equal_point(p: SkeinPresentation, best_t: Tree, best_j: int) -> OrderedPoint:
+    """The first pair point-equal to (best_t, best_j) in (carets, key) order.
+
+    The reversing join decides point equality exactly, so any representative
+    bounds the scan.  Each candidate costs one reversal, read as the block
+    starts of the Ore witness (f, f2) with cand . f ~ best . f2
+    (`fractions.witness_starts`): the matching leaf j' has j'^f == j^f2 (the
+    starts increase strictly, so j' is unique), and a candidate whose
+    reversal blocks or runs over budget is skipped.
+    """
     for cand in itertools.chain.from_iterable(
-            trees_in_key_order(p.colours, carets) for carets in range(k + 1)):
+            trees_in_key_order(p.colours, carets)
+            for carets in range(caret_count(best_t) + 1)):
         if cand == best_t:
             break
         try:

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import os
@@ -187,6 +188,33 @@ def test_qspace_stabilizer_unresolved_fixers():
     assert "fixers verified: 0/1" in res.output
 
 
+# sha256 of `fsk qspace ... stabilizer --json` (exit code, then the report
+# without wall_time_ms) on the trees below, recorded while every point on a
+# reversing presentation still descended through its congruence classes.
+# The 7-caret cleary tree keeps 7 carets after pruning at its last leaf.
+PINNED_STABILIZERS = "80fbb43dae8f7d51e58c424fc7d860561e0e0146afcc5438639a373474c87dd1"
+
+
+def test_qspace_stabilizer_pinned():
+    reports = []
+    for source, tree in (("cleary", "a(b(I,I),a(I,b(I,a(I,I))))"),
+                         ("cleary", "a(I,b(a(I,b(I,a(b(I,a(I,I)),I))),I))"),
+                         ("free1", vine(40))):
+        res = run("qspace", source, "stabilizer", tree, "--json")
+        doc = json.loads(res.output)
+        doc.pop("wall_time_ms")
+        reports.append(f"{res.exit_code} " + json.dumps(doc, sort_keys=True))
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == PINNED_STABILIZERS
+
+
+@pytest.mark.parametrize("subcommand", [["transitivity"], ["stabilizer", "a(I,I)"]])
+def test_qspace_negative_samples_exit_2(subcommand):
+    res = run("qspace", "cleary", *subcommand, "--samples", "-1")
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "--samples" in res.output
+
+
 def test_qspace_deep_literal():
     res = run("qspace", "free1", "compare", vine(1500) + ":1", "a(I,I):1")
     assert res.exit_code == 0
@@ -283,6 +311,25 @@ def test_examples_f_tau_non_integer_index_exit_2(tmp_path):
 ])
 def test_examples_unwritable_target_exit_2(args, tmp_path):
     res = run("examples", *(a.replace("{tmp}", str(tmp_path)) for a in args))
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "cannot write" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", [
+    ["--name", ""],
+    ["--name", ".f_tau"],
+    ["--name", "sub/f_tau"],
+    ["--dir", "{tmp}/missing"],
+])
+def test_examples_f_tau_checks_the_target_before_building(target, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the presentation was built")
+
+    monkeypatch.setattr(corpus, "f_tau_from_words", refuse)
+    res = run("examples", "f-tau", "--colours", "a,b", "--words", "1 1;1 2",
+              "--dir", str(tmp_path), *(a.replace("{tmp}", str(tmp_path)) for a in target))
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert "cannot write" in res.output
@@ -410,17 +457,22 @@ ARGV = st.one_of(
                     st.tuples(st.just("qspace"), SOURCES, st.just("stabilizer"), TREES)),
           ["--json"], ["--bound", "--k", "--samples", "--seed"]),
     # "{tmp}" stands for a fresh scratch directory of each example
-    st.builds(lambda cols, words, where: ["examples", "f-tau", "--colours", cols,
-                                          "--words", ";".join(words), "--dir", where],
+    st.builds(lambda cols, words, where, name: ["examples", "f-tau", "--colours", cols,
+                                                "--words", ";".join(words), "--dir", where,
+                                                "--name", name],
               st.sampled_from(["a", "a,b", "a,a", "b,a,c", "a,"]),
               st.lists(st.lists(st.integers(0, 3).map(str), max_size=3).map(" ".join),
                        min_size=1, max_size=3),
-              st.sampled_from(["{tmp}", "{tmp}/missing"])),
+              st.sampled_from(["{tmp}", "{tmp}/missing"]),
+              st.sampled_from(["f_tau", "", ".f_tau", "sub/f_tau"])),
 )
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @example(["qspace", "cleary", "transitivity", "--k", "0"])
+@example(["qspace", "cleary", "transitivity", "--samples", "-5"])
+@example(["qspace", "free1", "stabilizer", "a(I,I)", "--samples", "-3"])
+@example(["qspace", "free1", "stabilizer", "a(I,I)", "--samples", "0"])
 @example(["present", "cleary", "--infinite", "--max-index", "0", "--abelian"])
 @example(["examples", "f-tau", "--colours", "a,b", "--words", "x1;x1"])
 @example(["examples", "f-tau", "--colours", "a,b", "--words", "1;1", "--dir", "{tmp}/missing"])

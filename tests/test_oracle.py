@@ -297,14 +297,16 @@ def test_ore_report_json(free2):
 
 def _descend_calls(monkeypatch):
     """The (p, start, key, prune) of every descent that both normal forms run
-    on seeded inputs, with the callers' own key and prune functions."""
-    calls, real = [], oracle.descend
+    on seeded inputs, with the callers' own key and prune functions.  Every
+    presentation takes the oracle route here, where points descend too."""
+    calls, real, route = [], oracle.descend, fractions.route
 
     def capture(p, start, key, prune, budget=None):
         calls.append((p, start, key, prune))
         return real(p, start, key, prune, budget)
 
     monkeypatch.setattr(oracle, "descend", capture)
+    monkeypatch.setattr(fractions, "route", lambda p: None)
     rng = random.Random(33)
     for name in ("cleary", "ternary", "gn3", "free1", "free2", "rebel", "notlc"):
         p = corpus.load(name)
@@ -316,6 +318,7 @@ def _descend_calls(monkeypatch):
             normalize_point(p, num, rng.randint(1, k + 1 + forest_caret_count(f)))
             fractions.normal_form(fractions.GroupElement(num, compose((s,), f)[0], p))
     monkeypatch.setattr(oracle, "descend", real)
+    monkeypatch.setattr(fractions, "route", route)
     return calls
 
 

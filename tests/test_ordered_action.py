@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from forestskein import corpus, fractions as fr, ordered_action as oa
+from forestskein import corpus, fractions as fr, oracle, ordered_action as oa
 from forestskein.config import OracleBudget
 from forestskein.forest import (
     LEAF,
@@ -14,11 +14,14 @@ from forestskein.forest import (
     leaf_count,
     parse_tree,
     parse_word,
+    prunable_carets,
     random_forest,
     random_tree,
+    strip_caret,
     tree_from_word,
     tree_key,
     trees_with_carets,
+    word_from_tree,
 )
 
 
@@ -90,6 +93,56 @@ def test_normalize_over_budget_fallback(cleary):
         x = oa.normalize_point(cleary, parse_tree(t), j, budget)
         assert x == oa.OrderedPoint(parse_tree(nt), nj, cleary)
         assert oa.raw_points_equal(cleary, (x.tree, x.leaf), (parse_tree(t), j)) is True
+
+
+def _prune_chain(t, j):
+    """One prune at a time (any caret of two leaves whose right leaf is not
+    j), until none is left."""
+    while True:
+        for pos, _colour in prunable_carets(t):
+            if j != pos + 1:
+                t, j = strip_caret(t, pos), j if j <= pos else j - 1
+                break
+        else:
+            return t, j
+
+
+def test_prune_point_is_the_end_of_every_prune_chain():
+    rng = random.Random(29)
+    for colours in ("a", "ab", "abc"):
+        for _ in range(300):
+            t = random_tree(rng, colours, rng.randint(0, 12))
+            for j in range(1, leaf_count(t) + 1):
+                assert oa.prune_point(t, j) == _prune_chain(t, j)
+    vine = LEAF
+    for _ in range(5000):
+        vine = ("a", LEAF, vine)
+    tree, leaf = oa.prune_point(vine, 5001)       # tuple == recurses; words do not
+    assert (word_from_tree(tree), leaf) == (word_from_tree(vine), 5001)
+    assert oa.prune_point(vine, 1) == (LEAF, 1)
+    with pytest.raises(ValueError):
+        oa.prune_point(caret("a"), 3)
+
+
+def test_reversing_route_normalize_reads_no_class(monkeypatch):
+    rng = random.Random(37)
+    cases = []
+    for name in ("cleary", "ternary", "gn3", "free1", "free2"):
+        p, found = corpus.load(name), 0
+        while found < 12:
+            t = random_tree(rng, p.colours, rng.randint(0, 8))
+            j = rng.randint(1, leaf_count(t))
+            if caret_count(_prune_chain(t, j)[0]) <= 6:
+                cases.append((p, t, j, oa.normalize_point(p, t, j)))
+                found += 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a congruence class was read")
+
+    monkeypatch.setattr(oracle, "class_members", refuse)
+    monkeypatch.setattr(oracle, "descend", refuse)
+    for p, t, j, want in cases:
+        assert oa.normalize_point(p, t, j) == want
 
 
 def test_grow_then_normalize_round_trip(cleary, rng):

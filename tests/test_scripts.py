@@ -83,3 +83,5 @@ def test_ab_pairs_smoke(capsys):
     for m in summary["metrics"].values():
         assert len(m["ratios"]) == 2 and 0 <= m["pairs_favouring_change"] <= 2
         assert m["base_median"] > 0 and m["change_median"] > 0
+        assert m["base_iqr_share"] >= 0 and m["change_iqr_share"] >= 0
+    assert ab.iqr_share([1, 2, 3, 4, 5]) == 2 / 3 and ab.iqr_share([7]) == 0
