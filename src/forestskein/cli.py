@@ -205,6 +205,8 @@ def _tree_over(p: SkeinPresentation, text: str):
 
 def _parse_element(p: SkeinPresentation, text: str, base: str, bound: int):
     text = text.strip()
+    if not text:
+        raise CliError("empty expression (write `EXPR` or `EXPR eq EXPR`)")
     m = _FRACTION_RE.match(text)
     if m:
         try:
@@ -375,8 +377,11 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
     elif subcommand == "transitivity":
         found = unresolved = 0
         for _ in range(samples):
-            A = oa.random_point_set(p, rng, k)
-            B = oa.random_point_set(p, rng, k)
+            try:
+                A = oa.random_point_set(p, rng, k)
+                B = oa.random_point_set(p, rng, k)
+            except ValueError as e:
+                raise CliError(str(e))
             g = oa.transitivity_witness(A, B, bound)
             if g is None:
                 unresolved += 1

@@ -11,10 +11,11 @@ reset with `memo.cache_clear()`.
 
 Budgets are settable, because callers run the same primitive under
 different ones: reversing (`reverse`, `reverses_to_empty`, `words_equal`,
-`left_divides`) and the oracle's class reads (`saturate`, `class_members`,
-`descend`, and through it `normal_form`, and `normalize_point` only where
-it descends: on the oracle route, or over the exact scan's cap on a
-presentation with relations).
+`left_divides`) and the oracle's class reads (`class_members`, `descend`,
+and through it `normal_form`, and `normalize_point` only where it
+descends: on the oracle route, or over the exact scan's cap on a
+presentation with relations).  `saturate`, the stratum table of the
+benchmark sweep, takes the same budget as the class reads.
 """
 
 from __future__ import annotations

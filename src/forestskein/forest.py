@@ -76,10 +76,6 @@ def tree_colours(t: Tree) -> set:
     return out
 
 
-def root_count(f: Forest) -> int:
-    return len(f)
-
-
 def forest_leaf_count(f: Forest) -> int:
     return sum(leaf_count(t) for t in f)
 

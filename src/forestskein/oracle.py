@@ -11,13 +11,13 @@ from the forest by `forest.neighbours`, one walk per tree that rewrites, at
 each vertex, the relation sides rooted in its colour, and memoizes the
 sorted class as one list shared by its members.  `multiple_classes` reads the
 classes of the multiples x . g of x at one caret level, once per (x, k),
-for mcm, absorption and fraction witnesses; the Ore and left-cancellativity
+for absorption and fraction witnesses; the Ore and left-cancellativity
 checks read them unsorted and compare the shared lists by identity.
 
-`saturate` enumerates a whole stratum and joins each forest to its
-`neighbours` by a union-find.  Its tables are the ground truth of the
-tests and the benchmark sweep only, against which the reversing engine and
-the class search are checked.
+`saturate` tabulates a whole stratum by the same search: it walks the
+stratum and closes each forest not yet placed (`_closure`), without filling
+the class memo.  Its tables serve the benchmark sweep; the tests check them,
+and the class search, against a reference of their own.
 
 All of them refuse a read by the closed-form size of the stratum (`_admit`),
 so one budget governs a class and the stratum that holds it.
@@ -36,9 +36,7 @@ from .config import OracleBudget
 from .forest import (
     LEAF,
     Forest,
-    Tree,
     caret,
-    caret_count,
     compose,
     divide,
     forest_caret_count,
@@ -65,25 +63,6 @@ class CongruenceTable:
         return self.class_of[f]
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 _tables_lock = threading.Lock()
 _strata = per_presentation(lambda p: {})        # (roots, carets) -> CongruenceTable
 _class_memo = per_presentation(lambda p: {})    # forest -> its sorted class, shared by all members
@@ -108,35 +87,30 @@ def _admit(p: SkeinPresentation, roots: int, carets: int, budget: OracleBudget) 
 
 def saturate(p: SkeinPresentation, roots: int, carets: int,
              budget: OracleBudget | None = None) -> CongruenceTable:
-    """Congruence table for the stratum (roots, <= carets).  Memoized, thread-safe."""
+    """Congruence table for the stratum (roots, <= carets).  Memoized, thread-safe.
+
+    Each forest not yet placed is closed into its class; the classes are
+    numbered in the order of their canonical members."""
     _admit(p, roots, carets, budget or OracleBudget())
     with _tables_lock:
         tables = _strata(p)
         table = tables.get((roots, carets))
         if table is None:
-            table = tables[roots, carets] = _build(p, roots, carets)
+            # each forest -> itself as enumerated: the table keeps these
+            # objects, not the equal copies that the search builds
+            enumerated = {f: f for k in range(carets + 1)
+                          for f in forests_with_carets(p.colours, roots, k)}
+            placed, classes = set(), []
+            for f in enumerated:
+                if f not in placed:
+                    members = _closure(p, f)
+                    members[:] = [enumerated[m] for m in members]
+                    placed.update(members)
+                    classes.append(members)
+            classes.sort(key=lambda g: forest_key(g[0], p.colour_rank))
+            class_of = {f: cid for cid, g in enumerate(classes) for f in g}
+            table = tables[roots, carets] = CongruenceTable(class_of=class_of, classes=classes)
         return table
-
-
-def _build(p: SkeinPresentation, roots: int, carets: int) -> CongruenceTable:
-    all_forests = [f for k in range(carets + 1)
-                   for f in forests_with_carets(p.colours, roots, k)]
-    index = {f: i for i, f in enumerate(all_forests)}
-    uf, sides = _UnionFind(len(all_forests)), _sides(p)
-    for f in all_forests:
-        i = index[f]
-        for g in neighbours(f, sides):
-            uf.union(i, index[g])
-    rank = p.colour_rank
-    groups: dict = {}
-    for f in all_forests:
-        groups.setdefault(uf.find(index[f]), []).append(f)
-    members = sorted(
-        (sorted(g, key=lambda x: forest_key(x, rank)) for g in groups.values()),
-        key=lambda g: forest_key(g[0], rank),
-    )
-    class_of = {f: cid for cid, g in enumerate(members) for f in g}
-    return CongruenceTable(class_of=class_of, classes=members)
 
 
 def equivalent(p: SkeinPresentation, f: Forest, g: Forest) -> bool:
@@ -158,10 +132,18 @@ def class_members(p: SkeinPresentation, f: Forest,
 
 
 def _search_class(p: SkeinPresentation, f: Forest) -> list:
+    """f's class from the class memo, or closed and stored for all its members."""
     memo = _class_memo(p)
-    cached = memo.get(f)
-    if cached is not None:
-        return cached
+    members = memo.get(f)
+    if members is None:
+        members = _closure(p, f)
+        for member in members:
+            memo[member] = members
+    return members
+
+
+def _closure(p: SkeinPresentation, f: Forest) -> list:
+    """f's congruence class, searched through `neighbours` and sorted by `forest_key`."""
     seen, stack, sides = {f}, [f], _sides(p)
     while stack:
         for h in neighbours(stack.pop(), sides):
@@ -169,10 +151,7 @@ def _search_class(p: SkeinPresentation, f: Forest) -> list:
                 seen.add(h)
                 stack.append(h)
     rank = p.colour_rank
-    members = sorted(seen, key=lambda x: forest_key(x, rank))
-    for member in members:
-        memo[member] = members
-    return members
+    return sorted(seen, key=lambda x: forest_key(x, rank))
 
 
 def multiple_classes(p: SkeinPresentation, x: Forest, k: int) -> list:
@@ -207,13 +186,6 @@ def divide_class(f: Forest, members) -> Forest | None:
         if h is not None:
             return h
     return None
-
-
-def class_leq(p: SkeinPresentation, f: Forest, g: Forest):
-    """A forest h with compose(f, h) ~ g, or None.  Requires equal root counts."""
-    if len(f) != len(g) or forest_caret_count(f) > forest_caret_count(g):
-        return None
-    return divide_class(f, class_members(p, g))
 
 
 def descend(p: SkeinPresentation, start: tuple, key, prune,
@@ -326,20 +298,3 @@ def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int) 
     failures = [(render_forest(reps[i]), render_forest(reps[j]))
                 for i, j in pairs if not above[i] & above[j]]
     return OreReport(pair_bound, search_bound, failures, len(pairs))
-
-
-def mcm_bounded(p: SkeinPresentation, x: Tree, y: Tree, bound: int) -> list:
-    """Minimal common upper-bound classes of two trees, within the caret bound.
-
-    Returns canonical representatives, pairwise incomparable.  Minimality is
-    absolute for anything at or below the bound; multiples beyond it are
-    invisible.
-    """
-    if equivalent(p, (x,), (y,)):
-        raise ValueError("mcm is defined for distinct classes")
-    _admit(p, 1, bound, OracleBudget())
-    a, b = (x, y) if caret_count(x) >= caret_count(y) else (y, x)
-    commons = [cls[0] for k in range(caret_count(a), bound + 1)
-               for cls in multiple_classes(p, (a,), k) if divide_class((b,), cls) is not None]
-    return [z for z in commons
-            if not any(w != z and class_leq(p, w, z) is not None for w in commons)]

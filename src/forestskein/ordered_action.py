@@ -123,6 +123,7 @@ def raw_points_equal(p: SkeinPresentation, a: tuple, b: tuple,
 
 
 _EXACT_SCAN_CAP = 6
+_POINT_SET_DRAWS = 5000      # draws in a row without a new point before `random_point_set` gives up
 
 
 def prune_point(t: Tree, j: int) -> tuple:
@@ -231,13 +232,22 @@ def random_point(p: SkeinPresentation, rng, max_carets: int) -> OrderedPoint:
 
 
 def random_point_set(p: SkeinPresentation, rng, k: int, max_carets: int = 4) -> list:
-    """k random points, each kept only when it is provably distinct from the others."""
-    pts = []
+    """k random points, each kept only when it is provably distinct from the others.
+
+    Raises ValueError after `_POINT_SET_DRAWS` draws in a row that add no
+    point: there may not be k distinct points of at most max_carets carets."""
+    pts, misses = [], 0
     while len(pts) < k:
+        if misses == _POINT_SET_DRAWS:
+            raise ValueError(f"found {len(pts)} of k={k} distinct points with <= {max_carets} "
+                             f"carets; {misses} draws in a row added none")
         x = random_point(p, rng, max_carets)
         if all(raw_points_equal(p, (x.tree, x.leaf), (y.tree, y.leaf)) is False
                for y in pts):
             pts.append(x)
+            misses = 0
+        else:
+            misses += 1
     return pts
 
 

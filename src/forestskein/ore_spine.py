@@ -38,7 +38,6 @@ from .forest import (
     Tree,
     caret,
     caret_count,
-    compose,
     forest_from_word,
     leaf_count,
     render_tree,
@@ -67,14 +66,6 @@ class OreSearch:
     certificate: OreCertificate | None
     failures: list = field(default_factory=list)
     bounds: dict = field(default_factory=dict)
-
-
-def iterate_tree(t: Tree, depth: int) -> Tree:
-    """t_1 = t, t_{k+1} = t_k with a copy of t attached at every leaf."""
-    out = t
-    for _ in range(depth - 1):
-        out = compose((out,), (t,) * leaf_count(out))[0]
-    return out
 
 
 def _monochromatic_candidate(p: SkeinPresentation):
@@ -207,14 +198,14 @@ class SpineReport:
         return len(self.classes)
 
 
-def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree, caret_bound: int) -> list:
+def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree) -> list:
     """Minimal common multiples of two tree classes, as tree representatives."""
     wx, wy = word_from_tree(x), word_from_tree(y)
     # every terminal of the reversal is a common multiple (exactly one on a
     # complemented presentation); minimality is filtered by divisibility
     out = reversing.reverse(p, reversing.inverse_product(wx, wy))
     joins = [tuple(wx) + left for left, _ in out.terminals]
-    candidates = _dedupe(p, [forest_from_word(w, 1)[0] for w in joins if len(w) <= caret_bound])
+    candidates = _dedupe(p, [forest_from_word(w, 1)[0] for w in joins])
     words = [word_from_tree(z) for z in candidates]
     return [z for z, wz in zip(candidates, words)
             if not any(len(wo) < len(wz) and reversing.left_divides(p, wo, wz) == "yes"
@@ -262,7 +253,7 @@ def spine(p: SkeinPresentation,
         cur = stages[-1]
         for i, x in enumerate(cur):
             for y in cur[i + 1:]:
-                nxt.extend(_mcm_trees(p, x, y, caret_bound))
+                nxt.extend(_mcm_trees(p, x, y))
         nxt = _dedupe(p, nxt)
         if not nxt:
             stabilized = True

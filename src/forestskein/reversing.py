@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .config import LC_REFUTE_BOUND, ReversingBudget
-from .forest import parse_word, render_word, word_from_tree
+from .forest import render_word, word_from_tree
 from .presentation import SkeinPresentation, is_complemented, per_presentation, skein_relation_words
 from . import oracle
 
@@ -57,25 +57,9 @@ def positive_word(letters) -> SignedWord:
     return tuple((c, i, 1) for c, i in letters)
 
 
-def inverse_word(w: SignedWord) -> SignedWord:
-    return tuple((c, i, -s) for c, i, s in reversed(w))
-
-
 def inverse_product(u, v) -> SignedWord:
     """The signed word u^-1 v of two positive words."""
     return tuple((c, i, -1) for c, i in reversed(u)) + positive_word(v)
-
-
-def parse_signed_word(text: str) -> SignedWord:
-    """Parse `a1 b2^-1 a3` into a signed word."""
-    out = []
-    for tok in text.split():
-        sign = 1
-        if tok.endswith("^-1"):
-            sign, tok = -1, tok[:-3]
-        (c, i), = parse_word(tok)
-        out.append((c, i, sign))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,7 @@ class _Rules:
         self.deterministic = is_complemented(p)
         if self.deterministic:
             words.extend(_derived_pairs(words))
-        self.templates, self.same_root = {}, []
+        self.templates = {}
         self.skein = _Table(self._skein_moves)
         self.letters = _Table(lambda a: (self.colours[abs(a) % self.C], abs(a) // self.C - 1))
         self.trees = _Table(lambda t: tuple(self.codes(word_from_tree(t))))
@@ -143,7 +127,6 @@ class _Rules:
             x, y = lw[0][0], rw[0][0]
             tail_l, tail_r = lw[1:], rw[1:]
             if x == y:
-                self.same_root.append((tail_l, tail_r))
                 self._add(x, x, tail_l, tail_r)
                 if tail_l != tail_r:
                     self._add(x, x, tail_r, tail_l)
@@ -470,11 +453,6 @@ def cube_sides(p: SkeinPresentation, x: str, y: str, z: str) -> tuple:
             _left_complement(p, _left_complement(p, y1, x1), _left_complement(p, y1, z1)))
 
 
-def complemented_cube_word(p: SkeinPresentation, x: str, y: str, z: str):
-    """The word [(x1\\y1)\\(x1\\z1)] \\ [(y1\\x1)\\(y1\\z1)], or None when undefined."""
-    return _left_complement(p, *cube_sides(p, x, y, z))
-
-
 @per_presentation
 def is_complete(p: SkeinPresentation) -> Certificate:
     """Tri-state completeness of the elementary-generator presentation.
@@ -528,8 +506,7 @@ def is_complete(p: SkeinPresentation) -> Certificate:
 def decide_left_cancellative(p: SkeinPresentation) -> Certificate:
     """yes / no / unknown with a certificate naming the deciding branch."""
     comp = is_complete(p)
-    if comp.verdict == "complete" and all(
-            words_equal(p, tail_l, tail_r) == "yes" for tail_l, tail_r in rules_of(p).same_root):
+    if comp.verdict == "complete":
         return Certificate("yes", "complete-no-shared-head",
                            {"completeness": comp.criterion})
     ce = oracle.refute_left_cancellative(p, LC_REFUTE_BOUND)

@@ -1,0 +1,120 @@
+"""Test-side references that share no code with the routines they check.
+
+`stratum` is the ground truth for congruence classes: a union-find over
+`forests_with_carets`, joined by `find_occurrences` and `rewrite_at` for each
+relation in both directions.  The oracle's class search and `saturate` walk
+`forest.neighbours` instead, so a fault in that walk shows against it.
+
+The rest serve the tests only: the class order and bounded minimal common
+multiples over the oracle's class reads, signed-word helpers for reversing,
+the cube word of the completeness check, and the iterates of a tree.
+"""
+
+import functools
+from dataclasses import dataclass
+
+from forestskein import oracle, reversing
+from forestskein.forest import (
+    caret_count,
+    compose,
+    find_occurrences,
+    forest_caret_count,
+    forest_key,
+    forests_with_carets,
+    leaf_count,
+    parse_word,
+    rewrite_at,
+)
+
+
+@dataclass(frozen=True)
+class Stratum:
+    class_of: dict          # forest -> class id
+    classes: list           # class id -> members by forest_key, classes by first member
+
+    def class_id(self, f) -> int:
+        return self.class_of[f]
+
+
+@functools.lru_cache(maxsize=64)
+def stratum(p, roots: int, carets: int) -> Stratum:
+    """The congruence classes of the forests with `roots` roots and <= `carets` carets."""
+    forests = [f for k in range(carets + 1) for f in forests_with_carets(p.colours, roots, k)]
+    index = {f: i for i, f in enumerate(forests)}
+    parent = list(range(len(forests)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rewrites = [(u, u2) for lhs, rhs in p.relations for u, u2 in ((lhs, rhs), (rhs, lhs))]
+    for i, f in enumerate(forests):
+        for u, u2 in rewrites:
+            for occ in find_occurrences(f, u):
+                parent[find(index[rewrite_at(f, occ, u, u2)])] = find(i)
+    groups: dict = {}
+    for i, f in enumerate(forests):
+        groups.setdefault(find(i), []).append(f)
+    rank = p.colour_rank
+    classes = sorted((sorted(g, key=lambda f: forest_key(f, rank)) for g in groups.values()),
+                     key=lambda g: forest_key(g[0], rank))
+    return Stratum({f: cid for cid, g in enumerate(classes) for f in g}, classes)
+
+
+def class_leq(p, f, g):
+    """A forest h with compose(f, h) ~ g, or None.  Requires equal root counts."""
+    if len(f) != len(g) or forest_caret_count(f) > forest_caret_count(g):
+        return None
+    return oracle.divide_class(f, oracle.class_members(p, g))
+
+
+def mcm_bounded(p, x, y, bound: int) -> list:
+    """Minimal common upper-bound classes of two trees, within the caret bound.
+
+    Returns canonical representatives, pairwise incomparable.  Minimality is
+    absolute for anything at or below the bound; multiples beyond it are
+    invisible.
+    """
+    if oracle.equivalent(p, (x,), (y,)):
+        raise ValueError("mcm is defined for distinct classes")
+    a, b = (x, y) if caret_count(x) >= caret_count(y) else (y, x)
+    commons = [cls[0] for k in range(caret_count(a), bound + 1)
+               for cls in oracle.multiple_classes(p, (a,), k)
+               if oracle.divide_class((b,), cls) is not None]
+    return [z for z in commons
+            if not any(w != z and class_leq(p, w, z) is not None for w in commons)]
+
+
+def parse_signed_word(text: str) -> tuple:
+    """Parse `a1 b2^-1 a3` into a signed word."""
+    out = []
+    for tok in text.split():
+        sign = 1
+        if tok.endswith("^-1"):
+            sign, tok = -1, tok[:-3]
+        (c, i), = parse_word(tok)
+        out.append((c, i, sign))
+    return tuple(out)
+
+
+def inverse_word(w: tuple) -> tuple:
+    return tuple((c, i, -s) for c, i, s in reversed(w))
+
+
+def complemented_cube_word(p, x: str, y: str, z: str):
+    """The word [(x1\\y1)\\(x1\\z1)] \\ [(y1\\x1)\\(y1\\z1)], or None when undefined."""
+    u, v = reversing.cube_sides(p, x, y, z)
+    if u is None or v is None:
+        return None
+    res = reversing.complement(p, u, v)
+    return None if res is None else res[0]
+
+
+def iterate_tree(t, depth: int):
+    """t_1 = t, t_{k+1} = t_k with a copy of t attached at every leaf."""
+    out = t
+    for _ in range(depth - 1):
+        out = compose((out,), (t,) * leaf_count(out))[0]
+    return out

@@ -29,13 +29,13 @@ from forestskein.forest import (
     leaf_count,
     parse_word,
     random_forest,
-    root_count,
     tensor,
     tree_from_word,
     trees_with_carets,
     word_from_tree,
 )
 from forestskein.presentation import is_complemented
+from reference import stratum
 
 EXHAUSTIVE = os.environ.get("FSK_ACCEPT_EXHAUSTIVE") == "1"
 
@@ -151,7 +151,7 @@ def _agreement_sweep(p, max_exhaustive, max_class, cross_samples, rng):
     for k in range(1, max_class + 1):
         trees = trees_with_carets(p.colours, k)
         words = {t: tuple(word_from_tree(t)) for t in trees}
-        table = oracle.saturate(p, 1, k)
+        table = stratum(p, 1, k)
         cls = {t: table.class_id((t,)) for t in trees}
         if k <= max_exhaustive:
             for t, s in itertools.combinations(trees, 2):
@@ -324,7 +324,7 @@ def test_criterion_10_category_axiom_suite():
             for f in forests_with_carets(colours, roots, k)]
     by_roots = {}
     for f in pool:
-        by_roots.setdefault(root_count(f), []).append(f)
+        by_roots.setdefault(len(f), []).append(f)
     assoc = 0
     for f in pool:
         for g in by_roots.get(forest_leaf_count(f), []):
@@ -365,7 +365,7 @@ def test_criterion_10_category_axiom_suite():
         for u, u2 in ((lhs, rhs), (rhs, lhs)):
             for occ in find_occurrences(f, u):
                 g2 = rewrite_at(f, occ, u, u2)
-                assert root_count(g2) == root_count(f)
+                assert len(g2) == len(f)
                 assert forest_leaf_count(g2) == forest_leaf_count(f)
 
     # codec round-trips

@@ -72,6 +72,13 @@ def test_spine_command():
                if v["property"] == "f_infinity")
 
 
+@pytest.mark.parametrize("source", ["cleary", "rebel"])
+def test_spine_over_the_caret_bound_proves_nothing(source):
+    doc = json.loads(run("spine", source, "--max-carets", "1", "--json").output)
+    assert doc["stabilized"] is False
+    assert [v["verdict"] for v in doc["verdicts"] if v["property"] == "f_infinity"] == ["unknown"]
+
+
 def test_present_counts_and_abelian():
     res = run("present", "cleary", "--finite", "--abelian", "--json")
     doc = json.loads(res.output)
@@ -129,6 +136,15 @@ def test_eval_unknown_colour_exit_2(args):
     assert "unknown" in res.output
 
 
+@pytest.mark.parametrize("args", [("eq",), ("a1", "eq"), ("eq", "a1"), ("",)])
+def test_eval_empty_expression_exit_2(args):
+    # an empty side is refused, not read as the identity
+    res = run("eval", "cleary", *args)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "empty expression" in res.output
+
+
 def test_qspace_compare_and_act():
     res = run("qspace", "free1", "compare", "a(I,I):1", "a(I,I):2")
     assert "LT" in res.output
@@ -173,6 +189,19 @@ def test_qspace_stabilizer():
     res = run("qspace", "free1", "stabilizer", "a(a(I,I),I)", "--samples", "4")
     assert res.exit_code == 0
     assert "fixers verified: 4/4" in res.output
+
+
+def test_qspace_transitivity_more_points_than_exist_exit_2():
+    # free1 has 16 distinct points with <= 4 carets; asking for 17 stops
+    # drawing, and a hang fails the timeout here instead of stalling the suite
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run([sys.executable, "-m", "forestskein", "qspace", "free1", "transitivity",
+                          "--k", "17", "--samples", "1"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "k=17" in res.stderr and "<= 4 carets" in res.stderr
 
 
 def vine(levels):
@@ -346,13 +375,15 @@ def test_examples_f_tau_repeated_colour_exit_2(tmp_path):
 
 def test_examples_f_tau_long_vines(tmp_path):
     # the third iterate of a 1,200-caret vine has about 1.7e9 carets; the
-    # absorption check reaches it through complements against the vine
+    # absorption check reaches it through complements against the vine.  The
+    # join of the two colour carets is kept although it exceeds the spine's
+    # caret bound, so the spine is cut after it rather than read as stabilized
     vine = " ".join(["1"] * 1200)
     res = run("examples", "f-tau", "--colours", "a,b", "--words", f"{vine};{vine}",
               "--dir", str(tmp_path))
     assert res.exit_code == 0
     assert res.output.splitlines()[-1] == \
-        "lc: yes; ore: evidence; spine size: 2; F-infinity: unknown"
+        "lc: yes; ore: evidence; spine size: 3; F-infinity: unknown"
 
 
 def test_certifiers_run_once_per_presentation(tmp_path, monkeypatch):
@@ -362,7 +393,7 @@ def test_certifiers_run_once_per_presentation(tmp_path, monkeypatch):
     source.write_text(text)
     calls = collections.Counter()
     for module, name in ((oracle, "refute_left_cancellative"), (reversing, "scc_at"),
-                         (reversing, "complemented_cube_word")):
+                         (reversing, "cube_sides")):
         def counting(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)

@@ -1,4 +1,4 @@
-"""Cross-engine regression: reversing equality against the saturation oracle.
+"""Cross-engine regression: reversing equality against the stratum reference.
 
 The complemented presentations exercise the deterministic reversal; rebel
 (two relations on one colour pair, complete) exercises the branching
@@ -10,16 +10,17 @@ import itertools
 
 import pytest
 
-from forestskein import corpus, oracle, reversing as rv
+from forestskein import corpus, reversing as rv
 from forestskein.forest import leaf_count, random_tree, trees_with_carets, word_from_tree
 from forestskein import fractions as fr, ordered_action as oa
+from reference import stratum
 
 
 def _sweep(p, max_carets):
     mismatches = 0
     for k in range(1, max_carets + 1):
         trees = trees_with_carets(p.colours, k)
-        table = oracle.saturate(p, 1, k)
+        table = stratum(p, 1, k)
         cls = [table.class_id((t,)) for t in trees]
         words = [tuple(word_from_tree(t)) for t in trees]
         for i, j in itertools.combinations(range(len(trees)), 2):
@@ -40,7 +41,7 @@ def test_single_relation_agreement(name):
 def test_notlc_soundness_only(notlc):
     for k in (2, 3):
         trees = trees_with_carets(notlc.colours, k)
-        table = oracle.saturate(notlc, 1, k)
+        table = stratum(notlc, 1, k)
         words = [tuple(word_from_tree(t)) for t in trees]
         for i, j in itertools.combinations(range(len(trees)), 2):
             if rv.words_equal(notlc, words[i], words[j]) == "yes":

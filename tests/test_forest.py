@@ -31,7 +31,6 @@ from forestskein.forest import (
     render_tree,
     render_word,
     rewrite_at,
-    root_count,
     strip_caret,
     tensor,
     tree_from_word,
@@ -58,7 +57,7 @@ def test_compose_counts():
     f = (caret("a"), LEAF)
     g = (caret("b"), LEAF, caret("a"))
     fg = compose(f, g)
-    assert root_count(fg) == 2
+    assert len(fg) == 2
     assert forest_leaf_count(fg) == 5
     assert forest_caret_count(fg) == 3
 
@@ -81,7 +80,7 @@ def test_tensor():
     f = (caret("a"),)
     g = (caret("b"),)
     assert tensor(f, g) == (caret("a"), caret("b"))
-    assert root_count(tensor(f, g)) == 2
+    assert len(tensor(f, g)) == 2
     assert forest_leaf_count(tensor(f, g)) == 4
     assert tensor((LEAF,), (LEAF,)) == (LEAF, LEAF)
 
@@ -274,7 +273,7 @@ def test_rewrite_preserves_counts(rng):
         for u, u2 in ((lhs, rhs), (rhs, lhs)):
             for occ in find_occurrences(f, u):
                 g = rewrite_at(f, occ, u, u2)
-                assert root_count(g) == root_count(f)
+                assert len(g) == len(f)
                 assert forest_leaf_count(g) == forest_leaf_count(f)
                 break
 
@@ -306,7 +305,7 @@ def test_associativity_exhaustive_small():
     pool = [f for f in small_forests(2, 2)]
     by_roots = {}
     for f in pool:
-        by_roots.setdefault(root_count(f), []).append(f)
+        by_roots.setdefault(len(f), []).append(f)
     checked = 0
     for f in pool:
         for g in by_roots.get(forest_leaf_count(f), []):

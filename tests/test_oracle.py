@@ -21,6 +21,7 @@ from forestskein.forest import (
 )
 from forestskein.ordered_action import normalize_point
 from forestskein.presentation import memo, parse
+from reference import class_leq, mcm_bounded, stratum
 
 
 def tw(text):
@@ -28,12 +29,12 @@ def tw(text):
 
 
 def test_free_presentation_singletons(free2):
-    table = oracle.saturate(free2, 1, 3)
+    table = stratum(free2, 1, 3)
     assert all(len(cls) == 1 for cls in table.classes)
 
 
 def test_cleary_two_caret_classes(cleary):
-    table = oracle.saturate(cleary, 1, 2)
+    table = stratum(cleary, 1, 2)
     two = [cls for cls in table.classes if forest_caret_count(cls[0]) == 2]
     assert len(two) == 7                       # 8 trees, one identified pair
     sizes = sorted(len(cls) for cls in two)
@@ -45,7 +46,7 @@ def test_class_count_relabel_symmetry():
     p = parse("colors: a, b\nrel: a1 a1 = b1 b2\n")
     q = parse("colors: b, a\nrel: b1 b1 = a1 a2\n")   # colours renamed a<->b
     for k in (2, 3):
-        assert len(oracle.saturate(p, 1, k).classes) == len(oracle.saturate(q, 1, k).classes)
+        assert len(stratum(p, 1, k).classes) == len(stratum(q, 1, k).classes)
 
 
 def test_equivalent_examples(cleary, notlc):
@@ -59,14 +60,14 @@ def test_equivalent_examples(cleary, notlc):
 
 def test_class_leq(cleary, free2):
     t = tw("a1 a1")
-    assert oracle.class_leq(cleary, (t,), (t,)) == (None, None, None)
-    h = oracle.class_leq(cleary, (caret("a"),), (tw("b1 b2"),))
+    assert class_leq(cleary, (t,), (t,)) == (None, None, None)
+    h = class_leq(cleary, (caret("a"),), (tw("b1 b2"),))
     assert h == (caret("a"), None)             # elementary(a,1,2)
-    assert oracle.class_leq(free2, (caret("a"),), (tw("b1 b2"),)) is None
+    assert class_leq(free2, (caret("a"),), (tw("b1 b2"),)) is None
 
 
 def test_class_members(cleary):
-    table = oracle.saturate(cleary, 1, 3)
+    table = stratum(cleary, 1, 3)
     for cls in table.classes:
         for f in cls:
             assert oracle.class_members(cleary, f) == cls
@@ -86,14 +87,14 @@ def test_class_search_matches_the_table():
         p = corpus.load(name)
         fewer = 1 if len(p.colours) >= 4 else 0
         for roots, carets in ((1, 4 - fewer), (2, 3 - fewer)):
-            table = oracle.saturate(p, roots, carets)
+            table = stratum(p, roots, carets)
             for k in range(carets + 1):
                 for f in forests_with_carets(p.colours, roots, k):
                     assert oracle.class_members(p, f) == table.classes[table.class_id(f)]
     for _ in range(200):
         p = corpus.load(rng.choice(corpus.names()))
         k = rng.randrange(1, 4)
-        table = oracle.saturate(p, 1, k)
+        table = stratum(p, 1, k)
         f = random_forest(rng, p.colours, 1, k)
         g = rng.choice(table.classes[table.class_id(f)] + [random_forest(rng, p.colours, 1, k)])
         assert oracle.equivalent(p, f, g) == (table.class_id(f) == table.class_id(g))
@@ -134,7 +135,7 @@ def test_multiple_classes_match_the_table(cleary, free2, notlc, rebel):
     # the classes read from the extensions of x are the table's classes at
     # level k that x divides, in table order
     for p in (cleary, free2, notlc, rebel):
-        table = oracle.saturate(p, 1, 5)
+        table = stratum(p, 1, 5)
         for k in range(6):
             level = [cls for cls in table.classes if forest_caret_count(cls[0]) == k]
             for x in (t for j in range(4) for t in trees_with_carets(p.colours, j)):
@@ -179,27 +180,40 @@ def test_check_ore_bounded(cleary, free2, free1):
 
 
 def test_mcm_examples(cleary, free2):
-    got = oracle.mcm_bounded(cleary, caret("a"), caret("b"), 4)
+    got = mcm_bounded(cleary, caret("a"), caret("b"), 4)
     assert [render_forest(z) for z in got] == ["[a(a(I,I),I)]"]
-    assert oracle.mcm_bounded(free2, caret("a"), caret("b"), 4) == []
+    assert mcm_bounded(free2, caret("a"), caret("b"), 4) == []
     with pytest.raises(ValueError):
-        oracle.mcm_bounded(cleary, caret("a"), caret("a"), 3)
+        mcm_bounded(cleary, caret("a"), caret("a"), 3)
 
 
 def test_mcm_f_tau():
     from forestskein.ore_spine import build_f_tau
     comp = tw("a1 a1 a3")
     p = build_f_tau({"a": comp, "b": comp}).presentation
-    got = oracle.mcm_bounded(p, caret("a"), caret("b"), 5)
+    got = mcm_bounded(p, caret("a"), caret("b"), 5)
     assert len(got) == 1
     assert oracle.equivalent(p, got[0], (tw("a1 a1 a3"),))
 
 
 def test_saturation_idempotent(cleary):
-    t1 = oracle._build(cleary, 1, 3)
-    t2 = oracle._build(cleary, 1, 3)
+    memo.cache_clear()
+    t1 = oracle.saturate(cleary, 1, 3)
+    memo.cache_clear()
+    t2 = oracle.saturate(cleary, 1, 3)
+    assert t1 is not t2
     assert t1.class_of == t2.class_of
     assert t1.classes == t2.classes
+
+
+def test_saturate_matches_the_reference(cleary, ternary, rebel):
+    # the tabulated class search against the union-find over find_occurrences
+    # and rewrite_at: same classes, same member order, same class ids
+    for p in (cleary, ternary, rebel):
+        for roots, carets in ((1, 5), (2, 3)):
+            table, want = oracle.saturate(p, roots, carets), stratum(p, roots, carets)
+            assert table.classes == want.classes, (p.name, roots, carets)
+            assert table.class_of == want.class_of, (p.name, roots, carets)
 
 
 def test_classes_respect_rewrites(cleary, rng):
@@ -212,7 +226,7 @@ def test_classes_respect_rewrites(cleary, rng):
 
 
 def test_stratum_preservation(cleary):
-    table = oracle.saturate(cleary, 2, 3)
+    table = stratum(cleary, 2, 3)
     for cls in table.classes:
         counts = {forest_caret_count(f) for f in cls}
         assert len(counts) == 1
@@ -222,14 +236,14 @@ def test_class_leq_partial_order(cleary, rng):
     trees = [t for k in range(4) for t in trees_with_carets(cleary.colours, k)]
     sample = rng.sample(trees, 25)
     for t in sample:
-        assert oracle.class_leq(cleary, (t,), (t,)) is not None
+        assert class_leq(cleary, (t,), (t,)) is not None
     for _ in range(150):
         x, y, z = (rng.choice(sample) for _ in range(3))
-        xy = oracle.class_leq(cleary, (x,), (y,))
-        yz = oracle.class_leq(cleary, (y,), (z,))
+        xy = class_leq(cleary, (x,), (y,))
+        yz = class_leq(cleary, (y,), (z,))
         if xy is not None and yz is not None:
-            assert oracle.class_leq(cleary, (x,), (z,)) is not None
-        yx = oracle.class_leq(cleary, (y,), (x,))
+            assert class_leq(cleary, (x,), (z,)) is not None
+        yx = class_leq(cleary, (y,), (x,))
         if xy is not None and yx is not None:
             assert oracle.equivalent(cleary, (x,), (y,))
 

@@ -145,6 +145,23 @@ def test_reversing_route_normalize_reads_no_class(monkeypatch):
         assert oa.normalize_point(p, t, j) == want
 
 
+def test_exact_scan_includes_its_cap(cleary, monkeypatch):
+    # a point that prunes to exactly the cap's caret count is scanned, not descended
+    cap, rng = oa._EXACT_SCAN_CAP, random.Random(41)
+    while True:
+        t = random_tree(rng, cleary.colours, rng.randint(cap, cap + 4))
+        j = rng.randint(1, leaf_count(t))
+        if caret_count(oa.prune_point(t, j)[0]) == cap:
+            break
+    want = oa.normalize_point(cleary, t, j)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the point descended")
+
+    monkeypatch.setattr(oracle, "descend", refuse)
+    assert oa.normalize_point(cleary, t, j) == want
+
+
 def test_grow_then_normalize_round_trip(cleary, rng):
     for _ in range(500):
         t = random_tree(rng, cleary.colours, rng.randrange(1, 4))

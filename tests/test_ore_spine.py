@@ -5,7 +5,7 @@ import random
 import pytest
 
 from forestskein import corpus, oracle, ore_spine as osp, reversing
-from forestskein.config import SPINE_CARET_BOUND, ReversingBudget
+from forestskein.config import ReversingBudget
 from forestskein.corpus import load
 from forestskein.forest import (
     caret,
@@ -19,6 +19,7 @@ from forestskein.forest import (
     word_from_tree,
 )
 from forestskein.presentation import PresentationError, memo
+from reference import class_leq, iterate_tree, mcm_bounded
 
 
 def tw(text):
@@ -63,7 +64,7 @@ def test_cofinal_evidence_only():
 
 def test_iterate_tree():
     t = tw("a1 a1")
-    t2 = osp.iterate_tree(t, 2)
+    t2 = iterate_tree(t, 2)
     assert leaf_count(t2) == 9                # each of 3 leaves grows 3 leaves
 
 
@@ -90,15 +91,24 @@ def test_spine_rebel(rebel):
     assert len(rep.stages) >= rep.stage_bound
 
 
+def test_spine_over_the_caret_bound_is_not_stabilized(cleary, rebel):
+    # every join of the two colour carets has 2 carets: a bound of 1 cuts the
+    # spine there, and a cut spine is not a stabilized one
+    for p in (cleary, rebel):
+        rep = osp.spine(p, caret_bound=1)
+        assert rep.stabilized is False and rep.bound_hit is True, p.name
+        assert osp.f_infinity_certificate(p, rep) is None
+
+
 def test_spine_stages_verified_against_oracle(cleary):
     rep = osp.spine(cleary)
     got = {render_tree(z[0]) for z in
-           oracle.mcm_bounded(cleary, caret("a"), caret("b"), 6)}
+           mcm_bounded(cleary, caret("a"), caret("b"), 6)}
     assert got == {render_tree(t) for t in rep.stages[1]}
     # every later-stage member is a verified common multiple of a stage-0 pair
     for t in rep.stages[1]:
-        assert oracle.class_leq(cleary, (caret("a"),), (t,)) is not None
-        assert oracle.class_leq(cleary, (caret("b"),), (t,)) is not None
+        assert class_leq(cleary, (caret("a"),), (t,)) is not None
+        assert class_leq(cleary, (caret("b"),), (t,)) is not None
 
 
 def test_spine_warns_without_lc(notlc):
@@ -184,7 +194,7 @@ def test_mcm_trees_is_the_join_on_complemented_presentations(cleary, ternary):
                 wx = word_from_tree(x)
                 left, _right = reversing.complement(p, wx, word_from_tree(y))
                 want = [forest_from_word(tuple(wx) + left, 1)[0]]
-                assert osp._mcm_trees(p, x, y, SPINE_CARET_BOUND) == want
+                assert osp._mcm_trees(p, x, y) == want
 
 
 def test_recolour_deep_vine():
@@ -238,7 +248,7 @@ def test_cofinal_certificates_pinned(monkeypatch):
 def _absorption_by_iterates(p, t, bound, depth):
     """The absorption check as it ran before complements: left division of
     each representative into the words of the iterates t_1..t_depth."""
-    iterates = [word_from_tree(osp.iterate_tree(t, d)) for d in range(1, depth + 1)]
+    iterates = [word_from_tree(iterate_tree(t, d)) for d in range(1, depth + 1)]
     top = max(i for w in iterates for _, i in w)
     base = ReversingBudget()
     wide = ReversingBudget(steps=max(base.steps, 50 * len(iterates[-1])),

@@ -20,10 +20,11 @@ from forestskein.forest import (
 )
 from forestskein.ore_spine import build_f_tau
 from forestskein.presentation import is_complemented, memo, parse, skein_relation_words
+from reference import complemented_cube_word, inverse_word, parse_signed_word, stratum
 
 
 def sw(text):
-    return rv.parse_signed_word(text)
+    return parse_signed_word(text)
 
 
 def test_thompson_shift_reversal(cleary):
@@ -97,7 +98,7 @@ def test_scc_violated_three_colours():
                         f"rel: {ac.replace('x', 'a')} = {ac.replace('x', 'c')}\n"
                         f"rel: {bc.replace('x', 'b')} = {bc.replace('x', 'c')}\n")
                 p = parse(text)
-                e = rv.complemented_cube_word(p, "a", "b", "c")
+                e = complemented_cube_word(p, "a", "b", "c")
                 if e:
                     found = (p, e)
                     break
@@ -134,7 +135,7 @@ def test_is_complete_three_pairwise_monochromatic_relations():
             "rel: b1 b1 b3 = c1 c1 c3\n")
     p = parse(text)
     for x, y, z in (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")):
-        assert rv.complemented_cube_word(p, x, y, z) == ()
+        assert complemented_cube_word(p, x, y, z) == ()
     assert rv.is_complete(p).verdict == "complete"
 
 
@@ -183,11 +184,11 @@ def test_determinism(cleary):
 
 def test_agreement_small(cleary, ternary):
     for p in (cleary, ternary):
-        table = oracle.saturate(p, 1, 3)
+        table = stratum(p, 1, 3)
         trees = [t for k in range(1, 4) for t in trees_with_carets(p.colours, k)]
         for i, t in enumerate(trees):
             for s in trees[i + 1:]:
-                want = oracle.equivalent(p, (t,), (s,))
+                want = table.class_id((t,)) == table.class_id((s,))
                 got = rv.words_equal(p, word_from_tree(t), word_from_tree(s))
                 assert (got == "yes") == want
 
@@ -297,9 +298,9 @@ def _pinned_reversals():
             for k in range(30):
                 u, v = word(p, rng.randint(1, 5)), word(p, rng.randint(1, 5))
                 if k % 3 == 0:
-                    w = rv.inverse_word(rv.positive_word(u)) + rv.positive_word(v)
+                    w = inverse_word(rv.positive_word(u)) + rv.positive_word(v)
                 elif k % 3 == 1:
-                    w = rv.positive_word(u) + rv.inverse_word(rv.positive_word(v))
+                    w = rv.positive_word(u) + inverse_word(rv.positive_word(v))
                 else:
                     w = tuple((c, i, rng.choice((1, -1)))
                               for c, i in word(p, rng.randint(2, 8)))
@@ -527,5 +528,5 @@ def test_completeness_certificates_pinned():
         out.append(repr(rv.is_complete(p).to_json()))
         for x, y, z in itertools.permutations(p.colours, 3):
             out.append(repr((_cube_or_error(rv.cube_sides, p, x, y, z),
-                             _cube_or_error(rv.complemented_cube_word, p, x, y, z))))
+                             _cube_or_error(complemented_cube_word, p, x, y, z))))
     assert hashlib.sha256("\n".join(out).encode()).hexdigest() == PINNED_CERTIFICATES
