@@ -137,7 +137,9 @@ def spine(source, max_carets, max_stages, as_json, expect):
     for n, stage in enumerate(sp.stages):
         lines.append(f"  stage {n}: " + ", ".join(render_tree(t) for t in stage))
     verdict = "stabilized" if sp.stabilized else "not-stabilized"
-    report.add(Verdict("spine", verdict, "proved" if sp.strategy == "exact" else "evidence",
+    # no bounded search proves a spine infinite: a cut run is evidence at its bounds
+    proved = sp.stabilized and sp.strategy == "exact"
+    report.add(Verdict("spine", verdict, "proved" if proved else "evidence",
                        bounds=report.bounds))
     cert = ore_spine.f_infinity_certificate(p, sp) if sp.stabilized else None
     if cert:

@@ -21,6 +21,7 @@ codec round-trips exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from typing import Iterator, Optional
@@ -170,23 +171,24 @@ def tree_from_word(letters) -> Tree:
 
 
 def word_from_tree(t: Tree) -> list:
-    """Canonical word: carets stripped layer by layer from the root, left to right."""
-    word, level = [], [t]
-    while True:
-        nxt, pos, start = [], 1, len(word)
-        for tr in level:
-            if tr is None:
-                nxt.append(None)
-                pos += 1
-            else:
-                c, l, r = tr
-                word.append((c, pos))
-                nxt.append(l)
-                nxt.append(r)
-                pos += 2
-        if len(word) == start:      # no caret on this level: it was all leaves
-            return word
+    """Canonical word: carets stripped layer by layer from the root, left to right.
+
+    Each level lists its carets only, with the frontier position of each one
+    before the level is added; a caret's letter index is that position plus
+    the carets to its left on the level, and its children enter the next
+    level at that index and the one after it."""
+    word, level = [], [] if t is None else [(t, 1)]
+    while level:
+        nxt = []
+        for shift, ((c, l, r), pos) in enumerate(level):
+            pos += shift
+            word.append((c, pos))
+            if l is not None:
+                nxt.append((l, pos))
+            if r is not None:
+                nxt.append((r, pos + 1))
         level = nxt
+    return word
 
 
 def forest_from_word(letters, roots: int) -> Forest:
@@ -483,11 +485,28 @@ def trees_with_carets(colours: tuple, k: int) -> list:
     return out
 
 
-@functools.cache
-def trees_in_key_order(colours: tuple, k: int) -> list:
-    """`trees_with_carets(colours, k)` sorted by `tree_key` under the order of `colours`."""
-    rank = {c: i for i, c in enumerate(colours)}
-    return sorted(trees_with_carets(colours, k), key=lambda t: tree_key(t, rank))
+def prune_ends_in_key_order(colours: tuple, k: int) -> Iterator[tuple]:
+    """(tree, leaf) of every path-shaped tree with k carets, in `tree_key` order.
+
+    A path-shaped tree has one caret per level, each below the one above it
+    on the left or on the right; its leaf is the bottom caret's right leaf,
+    2 + the right steps, so these are exactly the ends of `prune_point`.
+    The canonical word of such a tree is the top colour, then one letter
+    per level whose index grows by one on a right step, so key order is the
+    top colour first and then, level by level, colour rank before left
+    before right.  There are c^k * 2^(k-1) of them for k >= 1.
+    """
+    if k == 0:
+        yield LEAF, 1
+        return
+    steps = [(c, right) for c in colours for right in (False, True)]
+    for top in colours:
+        for path in itertools.product(steps, repeat=k - 1):
+            colours_down = (top,) + tuple(c for c, _right in path)
+            node = (colours_down[-1], LEAF, LEAF)
+            for colour, (_c, right) in zip(colours_down[-2::-1], reversed(path)):
+                node = (colour, LEAF, node) if right else (colour, node, LEAF)
+            yield node, 2 + sum(right for _c, right in path)
 
 
 def forests_with_carets(colours, roots: int, k: int) -> Iterator[Forest]:

@@ -34,13 +34,13 @@ from .forest import (
     leaf_count,
     leaf_starts,
     prunable_carets,
+    prune_ends_in_key_order,
     random_tree,
     render_tree,
     strip_caret,
     tree_key,
-    trees_in_key_order,
 )
-from .presentation import SkeinPresentation
+from .presentation import SkeinPresentation, per_presentation
 from . import fractions, oracle
 
 Perm = tuple
@@ -162,11 +162,15 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
     """The least (canonical word, leaf) representative of the class.
 
     On complemented complete presentations the point is pruned in one walk
-    (`prune_point`) and made canonical by the exact scan
-    (`_least_equal_point`), and no congruence class is read.  A pruned tree
-    of more than `_EXACT_SCAN_CAP` carets is returned as it is without
-    relations; with relations the pair descends from (t, j) instead, and
-    the scan follows when the descent ends within the cap.
+    (`prune_point`), and no congruence class is read.  Without relations
+    growth is free, so equal points share their prune end and it is
+    returned.  With relations a prune end of at most `_EXACT_SCAN_CAP`
+    carets is made canonical by the exact scan (`_least_equal_point`); a
+    larger one descends from (t, j) instead, and the scan follows when the
+    descent ends within the cap.  So the normal form is canonical there up
+    to the cap of 6 carets after pruning; above it, with relations, it is
+    the descent's end, which is not always the least equal pair, and
+    equality should be checked with `compare`.
 
     On other presentations pruning and in-class rewriting (`oracle.descend`,
     under `oracle_budget`) shrink the pair and the result is returned:
@@ -178,10 +182,10 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
     exact = fractions.route(p) is not None
     if exact:
         pruned, leaf = prune_point(t, j)
-        if caret_count(pruned) <= _EXACT_SCAN_CAP:
-            return _least_equal_point(p, pruned, leaf)
         if not p.relations:
             return OrderedPoint(pruned, leaf, p)
+        if caret_count(pruned) <= _EXACT_SCAN_CAP:
+            return _least_equal_point(p, pruned, leaf)
     rank = p.colour_rank
 
     def key(state):
@@ -201,18 +205,28 @@ def normalize_point(p: SkeinPresentation, t: Tree, j: int,
     return _least_equal_point(p, best_t, best_j)
 
 
-def _least_equal_point(p: SkeinPresentation, best_t: Tree, best_j: int) -> OrderedPoint:
-    """The first pair point-equal to (best_t, best_j) in (carets, key) order.
+_points = per_presentation(lambda p: {})     # prune end (tree, leaf) -> its normal form
 
-    The reversing join decides point equality exactly, so any representative
-    bounds the scan.  Each candidate costs one reversal, read as the block
-    starts of the Ore witness (f, f2) with cand . f ~ best . f2
-    (`fractions.witness_starts`): the matching leaf j' has j'^f == j^f2 (the
-    starts increase strictly, so j' is unique), and a candidate whose
-    reversal blocks or runs over budget is skipped.
+
+def _least_equal_point(p: SkeinPresentation, best_t: Tree, best_j: int) -> OrderedPoint:
+    """The first pair point-equal to the prune end (best_t, best_j) in
+    (carets, key) order, scanned once per presentation and kept in `_points`.
+
+    The least equal pair is a prune end, since pruning keeps the point and
+    lowers the caret count, so only the path-shaped candidates of
+    `prune_ends_in_key_order` are tested, each at its own leaf.  The
+    reversing join decides point equality exactly: each candidate costs one
+    reversal, read as the block starts of the Ore witness (f, f2) with
+    cand . f ~ best . f2 (`fractions.witness_starts`), and (cand, j') is
+    equal when j'^f == best_j^f2.  A candidate whose reversal blocks or runs
+    over budget is skipped.
     """
-    for cand in itertools.chain.from_iterable(
-            trees_in_key_order(p.colours, carets)
+    table = _points(p)
+    if (known := table.get((best_t, best_j))) is not None:
+        return known
+    point = OrderedPoint(best_t, best_j, p)
+    for cand, leaf in itertools.chain.from_iterable(
+            prune_ends_in_key_order(p.colours, carets)
             for carets in range(caret_count(best_t) + 1)):
         if cand == best_t:
             break
@@ -220,9 +234,10 @@ def _least_equal_point(p: SkeinPresentation, best_t: Tree, best_j: int) -> Order
             starts, best_starts = fractions.witness_starts(p, cand, best_t)
         except fractions.Unresolved:
             continue
-        if (target := best_starts[best_j - 1]) in starts:
-            return OrderedPoint(cand, starts.index(target) + 1, p)
-    return OrderedPoint(best_t, best_j, p)
+        if starts[leaf - 1] == best_starts[best_j - 1]:
+            point = OrderedPoint(cand, leaf, p)
+            break
+    return table.setdefault((best_t, best_j), point)
 
 
 def random_point(p: SkeinPresentation, rng, max_carets: int) -> OrderedPoint:
@@ -234,13 +249,23 @@ def random_point(p: SkeinPresentation, rng, max_carets: int) -> OrderedPoint:
 def random_point_set(p: SkeinPresentation, rng, k: int, max_carets: int = 4) -> list:
     """k random points, each kept only when it is provably distinct from the others.
 
-    Raises ValueError after `_POINT_SET_DRAWS` draws in a row that add no
-    point: there may not be k distinct points of at most max_carets carets."""
+    After `_POINT_SET_DRAWS` draws in a row that add no point, on the
+    reversing route with max_carets <= `_EXACT_SCAN_CAP` the missing points
+    are taken in a seeded order from every point of at most max_carets
+    carets (`_all_points`); elsewhere, or when fewer than k points exist,
+    it raises ValueError."""
     pts, misses = [], 0
     while len(pts) < k:
         if misses == _POINT_SET_DRAWS:
-            raise ValueError(f"found {len(pts)} of k={k} distinct points with <= {max_carets} "
-                             f"carets; {misses} draws in a row added none")
+            if fractions.route(p) is None or max_carets > _EXACT_SCAN_CAP:
+                raise ValueError(f"found {len(pts)} of k={k} distinct points with <= {max_carets} "
+                                 f"carets; {misses} draws in a row added none")
+            every = _all_points(p, max_carets)
+            if len(every) < k:
+                raise ValueError(f"{p.name or 'the presentation'} has {len(every)} distinct "
+                                 f"points with <= {max_carets} carets, fewer than k={k}")
+            held = set(pts)
+            return pts + rng.sample([x for x in every if x not in held], k - len(pts))
         x = random_point(p, rng, max_carets)
         if all(raw_points_equal(p, (x.tree, x.leaf), (y.tree, y.leaf)) is False
                for y in pts):
@@ -249,6 +274,16 @@ def random_point_set(p: SkeinPresentation, rng, k: int, max_carets: int = 4) -> 
         else:
             misses += 1
     return pts
+
+
+def _all_points(p: SkeinPresentation, max_carets: int) -> list:
+    """The distinct points of at most max_carets carets, in the key order of
+    the prune ends that first reach them.  Every point prunes to one of
+    these prune ends, and the exact scan makes equal points equal pairs, so
+    this holds on the reversing route up to `_EXACT_SCAN_CAP` only."""
+    return list(dict.fromkeys(
+        normalize_point(p, t, j) for carets in range(max_carets + 1)
+        for t, j in prune_ends_in_key_order(p.colours, carets)))
 
 
 def grow_point(p: SkeinPresentation, x: OrderedPoint, f: Forest) -> tuple:

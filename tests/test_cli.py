@@ -79,6 +79,18 @@ def test_spine_over_the_caret_bound_proves_nothing(source):
     assert [v["verdict"] for v in doc["verdicts"] if v["property"] == "f_infinity"] == ["unknown"]
 
 
+@pytest.mark.parametrize("bound", [("--max-carets", "1"), ("--max-carets", "2"),
+                                   ("--max-carets", "3"), ("--max-stages", "1")])
+def test_a_cut_spine_is_not_proved_infinite(bound):
+    # no bounded search proves a spine infinite, on either strategy
+    for name in corpus.names():
+        doc = json.loads(run("spine", name, *bound, "--json").output)
+        [spine] = [v for v in doc["verdicts"] if v["property"] == "spine"]
+        assert spine["verdict"] in ("stabilized", "not-stabilized")
+        if spine["verdict"] == "not-stabilized":
+            assert spine["confidence"] == "evidence", (name, bound)
+
+
 def test_present_counts_and_abelian():
     res = run("present", "cleary", "--finite", "--abelian", "--json")
     doc = json.loads(res.output)

@@ -25,6 +25,7 @@ from forestskein.forest import (
     parse_tree,
     parse_word,
     prunable_carets,
+    prune_ends_in_key_order,
     random_forest,
     random_tree,
     render_forest,
@@ -34,6 +35,7 @@ from forestskein.forest import (
     strip_caret,
     tensor,
     tree_from_word,
+    tree_key,
     trees_with_carets,
     word_from_tree,
 )
@@ -148,6 +150,45 @@ def test_word_from_tree_matches_the_level_test(rng):
         left, right = ("a", left, LEAF), ("b", LEAF, right)
     assert word_from_tree(left) == [("a", 1)] * 1500
     assert word_from_tree(right) == [("b", n) for n in range(1, 1501)]
+
+
+def test_word_from_tree_is_linear_in_depth():
+    # 20,000 levels: a walk that lists the leaves of every level makes
+    # about 2 * 10^8 appends here, one over the carets makes 20,000
+    left = right = LEAF
+    for _ in range(20000):
+        left, right = ("a", left, LEAF), ("b", LEAF, right)
+    assert word_from_tree(left) == [("a", 1)] * 20000
+    assert word_from_tree(right) == [("b", n) for n in range(1, 20001)]
+
+
+def _path_shaped(t):
+    while t is not None:
+        if t[1] is not None and t[2] is not None:
+            return False
+        t = t[2] if t[1] is None else t[1]
+    return True
+
+
+def _bottom_right_leaf(t):
+    if t is None:
+        return 1
+    leaf = 2
+    while t[1] is not None or t[2] is not None:
+        leaf, t = (leaf + 1, t[2]) if t[1] is None else (leaf, t[1])
+    return leaf
+
+
+@pytest.mark.parametrize("colours", [("a",), ("a", "b"), ("b", "a", "c")])
+def test_prune_ends_in_key_order(colours):
+    rank = {c: i for i, c in enumerate(colours)}
+    for k in range(5):
+        want = sorted(filter(_path_shaped, trees_with_carets(colours, k)),
+                      key=lambda t: tree_key(t, rank))
+        got = list(prune_ends_in_key_order(colours, k))
+        assert [t for t, _ in got] == want
+        assert [j for _, j in got] == [_bottom_right_leaf(t) for t in want]
+        assert len(got) == (1 if k == 0 else len(colours) ** k * 2 ** (k - 1))
 
 
 def compose_decoded(letters, roots):

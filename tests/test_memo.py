@@ -18,8 +18,6 @@ ALLOWED_CACHES = {
     ("forest", "trees_with_carets"):
         "a pure enumeration keyed by the colour tuple, shared by every "
         "presentation with those colours",
-    ("forest", "trees_in_key_order"):
-        "the same enumeration in key order, keyed by the colour tuple",
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from forestskein import corpus, fractions as fr, oracle, ordered_action as oa
 from forestskein.config import OracleBudget
+from forestskein.presentation import memo
 from forestskein.forest import (
     LEAF,
     caret,
@@ -15,6 +16,7 @@ from forestskein.forest import (
     parse_tree,
     parse_word,
     prunable_carets,
+    prune_ends_in_key_order,
     random_forest,
     random_tree,
     strip_caret,
@@ -154,6 +156,7 @@ def test_exact_scan_includes_its_cap(cleary, monkeypatch):
         if caret_count(oa.prune_point(t, j)[0]) == cap:
             break
     want = oa.normalize_point(cleary, t, j)
+    memo.cache_clear()      # so the second call scans again instead of reading the table
 
     def refuse(*args, **kwargs):
         raise AssertionError("the point descended")
@@ -219,17 +222,58 @@ def test_scan_computes_one_witness_per_candidate(cleary, rng, monkeypatch):
 
     monkeypatch.setattr(fr, "witness_starts", counting)
     monkeypatch.setattr(fr, "common_multiple_witness", None)    # the scan builds no witness
-    rank = cleary.colour_rank
+    memo.cache_clear()      # no point is read back from an earlier test's table
     scanned = 0
     for _ in range(30):
         t = random_tree(rng, cleary.colours, rng.randrange(2, 6))
         x = oa.normalize_point(cleary, t, rng.randrange(1, leaf_count(t) + 1))
-        # the scan visits candidates in (carets, key) order and stops at x.tree
-        order = [s for k in range(leaf_count(x.tree))
-                 for s in sorted(trees_with_carets(cleary.colours, k),
-                                 key=lambda s: tree_key(s, rank))]
-        scanned += order.index(x.tree) + 1
+        # the scan visits prune ends in (carets, key) order and stops at x
+        order = [pair for k in range(leaf_count(x.tree))
+                 for pair in prune_ends_in_key_order(cleary.colours, k)]
+        scanned += order.index((x.tree, x.leaf)) + 1
     assert 0 < len(calls) <= scanned
+
+
+def test_a_point_is_scanned_once_per_presentation(cleary, monkeypatch):
+    memo.cache_clear()
+    rng = random.Random(43)
+    while True:
+        t = random_tree(rng, cleary.colours, 6)
+        j = rng.randint(1, leaf_count(t))
+        if caret_count(oa.prune_point(t, j)[0]) >= 3:
+            break
+    x = oa.normalize_point(cleary, t, j)
+    assert oa._points(cleary) == {oa.prune_point(t, j): x}
+    f = random_forest(rng, cleary.colours, leaf_count(t), 4)
+    grown = oa.grow_point(cleary, oa.OrderedPoint(t, j, cleary), f)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point was scanned again")
+
+    monkeypatch.setattr(fr, "witness_starts", refuse)
+    assert oa.normalize_point(cleary, t, j) == x
+    assert oa.normalize_point(cleary, *grown) == x
+    memo.cache_clear()
+    assert oa._points(cleary) == {}
+
+
+def test_point_counts_up_to_four_carets():
+    counts = {name: len(oa._all_points(corpus.load(name), 4))
+              for name in ("cleary", "free1", "ternary", "gn3")}
+    assert counts == {"cleary": 41, "free1": 16, "ternary": 81, "gn3": 60}
+
+
+def test_point_set_falls_back_to_every_point(cleary, monkeypatch):
+    # the draws give up quickly; the missing points come from the enumeration
+    monkeypatch.setattr(oa, "_POINT_SET_DRAWS", 30)
+    pts = oa.random_point_set(cleary, random.Random(5), 41)
+    assert len(pts) == 41 and set(pts) == set(oa._all_points(cleary, 4))
+    assert oa.random_point_set(cleary, random.Random(5), 41) == pts
+    with pytest.raises(ValueError, match="cleary has 41 distinct points"):
+        oa.random_point_set(cleary, random.Random(5), 42)
+    # the oracle route has no enumeration
+    with pytest.raises(ValueError, match="draws in a row added none"):
+        oa.random_point_set(corpus.load("rebel"), random.Random(5), 200)
 
 
 def test_compare_builds_no_forest(cleary, rng, monkeypatch):

@@ -85,3 +85,26 @@ def test_ab_pairs_smoke(capsys):
         assert m["base_median"] > 0 and m["change_median"] > 0
         assert m["base_iqr_share"] >= 0 and m["change_iqr_share"] >= 0
     assert ab.iqr_share([1, 2, 3, 4, 5]) == 2 / 3 and ab.iqr_share([7]) == 0
+
+
+def test_ab_inproc_smoke(capsys):
+    ab = load_script("ab_inproc")
+    # the checkout against itself in one interpreter: two tiny query blocks
+    ab.main(["--base", str(SCRIPTS.parent), "--workload", "query", "--blocks", "2",
+             "--seed", "1", "--seconds", "0.5", "--tiny"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("block 1 (base first)")
+    assert lines[1].startswith("block 2 (change first)")
+    summary = json.loads(lines[-1])
+    assert (summary["workload"], summary["seed"], summary["blocks"]) == ("query", 1, 2)
+    metrics = summary["metrics"]
+    assert set(metrics) == {"setup_s", "ops_per_s", "op_p50_ms", "failed"}
+    for name in ("setup_s", "ops_per_s", "op_p50_ms"):
+        m = metrics[name]
+        assert len(m["ratios"]) == 2 and 0 <= m["blocks_favouring_change"] <= 2
+        assert 0 < m["q1"] <= m["median_ratio"] <= m["q3"]
+    assert metrics["failed"] == {"base": [0, 0], "change": [0, 0]}
+    # both sides are separate packages, each with its own memo
+    base, change = sys.modules["forestskein_base"], sys.modules["forestskein_change"]
+    assert base is not change
+    assert base.presentation.memo is not change.presentation.memo
