@@ -91,6 +91,29 @@ def test_a_cut_spine_is_not_proved_infinite(bound):
             assert spine["confidence"] == "evidence", (name, bound)
 
 
+# sha256 of the reports of runs cut below the default bounds (exit code, then
+# the report without wall_time_ms) on every corpus entry, recorded before the
+# CLI read each confidence off the certifier's result
+PINNED_CUT_REPORTS = "52fe1d5ddd6eef3cff2691422052f9f1ec67b6d5d0aff143a779ce9b4bbf1c2f"
+CUT_RUNS = [("check", "--bound", str(b)) for b in (1, 2, 3)] + \
+    [("spine", "--max-carets", str(c)) for c in (1, 2, 3)] + \
+    [("spine", "--max-stages", "1"), ("qspace", "compare", "a(I,I):1", "a(I,I):2")]
+
+
+def test_cut_run_reports_pinned():
+    reports = []
+    for name in corpus.names():
+        for command, *args in CUT_RUNS:
+            res = run(command, name, *args, "--json")
+            if res.exit_code:           # the qspace precheck refuses a refuted Ore
+                reports.append(f"{res.exit_code} {res.output}")
+                continue
+            doc = json.loads(res.output)
+            doc.pop("wall_time_ms")
+            reports.append("0 " + json.dumps(doc, sort_keys=True))
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == PINNED_CUT_REPORTS
+
+
 def test_present_counts_and_abelian():
     res = run("present", "cleary", "--finite", "--abelian", "--json")
     doc = json.loads(res.output)
