@@ -84,26 +84,18 @@ def check(source, lc, complete_, complemented_, ore, bound, as_json, expect):
         comp = is_complemented(p)
         report.add(Verdict("complemented", "yes" if comp else "no", "proved"))
         lines.append(f"  complemented: {'yes' if comp else 'no'}")
-    if complete_:
-        cert = reversing.is_complete(p)
-        conf = "proved" if cert.verdict in ("complete", "incomplete") else "unknown"
-        report.add(Verdict("complete", cert.verdict, conf, witness=cert.detail,
-                           certificate=cert.to_json()))
-        lines.append(f"  complete: {cert.verdict} ({cert.criterion})")
-    if lc:
-        cert = reversing.decide_left_cancellative(p)
-        conf = {"yes": "proved", "no": "refuted"}.get(cert.verdict, "unknown")
-        report.add(Verdict("lc", cert.verdict, conf, witness=cert.detail,
-                           certificate=cert.to_json()))
-        lines.append(f"  lc: {cert.verdict} ({cert.criterion})")
+    for prop, wanted, certify in (("complete", complete_, reversing.is_complete),
+                                  ("lc", lc, reversing.decide_left_cancellative)):
+        if wanted:
+            cert = certify(p)
+            report.add(Verdict(prop, cert.verdict, cert.confidence, witness=cert.detail,
+                               certificate=cert.to_json()))
+            lines.append(f"  {prop}: {cert.verdict} ({cert.criterion})")
     if ore:
         search = ore_spine.cofinal_search(p, bound=bound)
-        verdict = {"proved": "yes", "refuted": "no"}.get(search.verdict, search.verdict)
-        conf = {"proved": "proved", "evidence": "evidence",
-                "refuted": "refuted"}.get(search.verdict, "unknown")
-        if search.verdict in ("evidence", "unknown"):
-            verdict = "unknown-at-bound" if search.verdict == "unknown" else "evidence"
-        report.add(Verdict("ore", verdict, conf, bounds=search.bounds,
+        verdict = {"proved": "yes", "refuted": "no", "evidence": "evidence",
+                   "unknown": "unknown-at-bound"}[search.verdict]
+        report.add(Verdict("ore", verdict, search.verdict, bounds=search.bounds,
                            witness=search.failures[:4] or None,
                            certificate=search.certificate.to_json()
                            if search.certificate else None))
@@ -136,11 +128,8 @@ def spine(source, max_carets, max_stages, as_json, expect):
              f"after {len(sp.stages)} stages, {len(classes)} classes ({sp.strategy})"]
     for n, stage in enumerate(sp.stages):
         lines.append(f"  stage {n}: " + ", ".join(render_tree(t) for t in stage))
-    verdict = "stabilized" if sp.stabilized else "not-stabilized"
-    # no bounded search proves a spine infinite: a cut run is evidence at its bounds
-    proved = sp.stabilized and sp.strategy == "exact"
-    report.add(Verdict("spine", verdict, "proved" if proved else "evidence",
-                       bounds=report.bounds))
+    report.add(Verdict("spine", "stabilized" if sp.stabilized else "not-stabilized",
+                       sp.confidence, bounds=report.bounds))
     cert = ore_spine.f_infinity_certificate(p, sp) if sp.stabilized else None
     if cert:
         report.add(Verdict("f_infinity", "proved", "proved",
@@ -350,9 +339,7 @@ def qspace(source, subcommand, args, bound, k, samples, seed, as_json):
     report = RunReport(f"qspace {subcommand}", p)
     report.bounds = {"fraction_bound": bound}
     ore = ore_spine.cofinal_search(p)
-    report.add(Verdict("ore", ore.verdict,
-                       ore.verdict if ore.verdict in ("proved", "evidence") else "unknown",
-                       bounds=ore.bounds))
+    report.add(Verdict("ore", ore.verdict, ore.verdict, bounds=ore.bounds))
     if ore.verdict == "refuted":
         raise CliError("Ore's property fails here; the ordered set is not directed")
     lines = [f"ore precheck: {ore.verdict}"]

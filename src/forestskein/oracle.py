@@ -267,19 +267,6 @@ class OreReport:
     failures: list                     # pairs of tree representatives with no common bound
     pairs_checked: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "bounds": {"pair_bound": self.pair_bound,
-                       "search_bound": self.search_bound},
-            "pairs_checked": self.pairs_checked,
-            "failures": [list(pair) for pair in self.failures],
-            "verdict": "no-failures-at-bound" if self.ok else "failures",
-        }
-
 
 def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int) -> OreReport:
     """Look for a common upper bound for every pair of small trees.

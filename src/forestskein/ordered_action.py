@@ -116,7 +116,9 @@ def raw_points_equal(p: SkeinPresentation, a: tuple, b: tuple,
 
     On complemented complete presentations the witness is the minimal
     common multiple and growth maps are injective on leaf indices, so index
-    agreement there decides equality exactly.
+    agreement there decides equality exactly.  It takes raw pairs for callers
+    that hold no normalized points, such as the forced-point gate of
+    perfbench's query workload.
     """
     c = compare(OrderedPoint(*a, p), OrderedPoint(*b, p), bound)
     return None if c is None else c == "EQ"
@@ -267,8 +269,7 @@ def random_point_set(p: SkeinPresentation, rng, k: int, max_carets: int = 4) -> 
             held = set(pts)
             return pts + rng.sample([x for x in every if x not in held], k - len(pts))
         x = random_point(p, rng, max_carets)
-        if all(raw_points_equal(p, (x.tree, x.leaf), (y.tree, y.leaf)) is False
-               for y in pts):
+        if all(compare(x, y) in ("LT", "GT") for y in pts):
             pts.append(x)
             misses = 0
         else:

@@ -62,7 +62,7 @@ class OreCertificate:
 
 @dataclass
 class OreSearch:
-    verdict: str                 # proved | evidence | refuted | unknown
+    verdict: str                 # a confidence level: proved | evidence | refuted | unknown
     certificate: OreCertificate | None
     failures: list = field(default_factory=list)
     bounds: dict = field(default_factory=dict)
@@ -196,6 +196,11 @@ class SpineReport:
     @property
     def size(self) -> int:
         return len(self.classes)
+
+    @property
+    def confidence(self) -> str:
+        # no bounded search proves a spine infinite: a cut run is evidence at its bounds
+        return "proved" if self.stabilized and self.strategy == "exact" else "evidence"
 
 
 def _mcm_trees(p: SkeinPresentation, x: Tree, y: Tree) -> list:

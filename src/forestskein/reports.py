@@ -14,8 +14,9 @@ SCHEMA_VERSION = "1"
 @dataclass
 class Verdict:
     prop: str
-    verdict: str                 # yes | no | complete | ... | proved | refuted | unknown
-    confidence: str              # proved | evidence | unknown | refuted
+    verdict: str                 # the property's own word: yes | complete | stabilized | ...
+    confidence: str              # proved | evidence | unknown | refuted, from the result:
+                                 # Certificate.confidence, SpineReport.confidence, OreSearch.verdict
     bounds: dict = field(default_factory=dict)
     witness: dict | list | str | None = None
     certificate: dict | None = None

@@ -433,6 +433,13 @@ class Certificate:
     criterion: str
     detail: dict = field(default_factory=dict)
 
+    @property
+    def confidence(self) -> str:
+        """The report's confidence: a decided verdict is proved, `no` is refuted,
+        and any other word, new ones included, reads unknown."""
+        return {"yes": "proved", "complete": "proved", "incomplete": "proved",
+                "no": "refuted"}.get(self.verdict, "unknown")
+
     def to_json(self) -> dict:
         return {"verdict": self.verdict, "criterion": self.criterion,
                 "detail": self.detail}

@@ -116,7 +116,7 @@ def test_engines_agree(name):
             assert ans == ("yes" if same else "no"), (t, s)
 
 
-def _reference_ore(p, pair_bound, search_bound) -> dict:
+def _reference_ore(p, pair_bound, search_bound) -> oracle.OreReport:
     """The bounded Ore check on sets of canonical members of sorted class reads,
     as it ran before classes were compared by identity."""
     reps = [cls[0] for k in range(1, pair_bound + 1)
@@ -126,7 +126,7 @@ def _reference_ore(p, pair_bound, search_bound) -> dict:
     pairs = list(itertools.combinations(range(len(reps)), 2))
     failures = [(render_forest(reps[i]), render_forest(reps[j]))
                 for i, j in pairs if not above[i] & above[j]]
-    return oracle.OreReport(pair_bound, search_bound, failures, len(pairs)).to_json()
+    return oracle.OreReport(pair_bound, search_bound, failures, len(pairs))
 
 
 # every case at (2, 4) carets, and the corpus at the bounds of `fsk check`
@@ -138,7 +138,7 @@ ORE_RUNS = [(name, 2, 4) for name in sorted(CASES)] + \
 def test_ore_check_matches_the_canonical_member_reference(name, pair_bound, search_bound):
     p = CASES[name]
     try:
-        got = oracle.check_ore_bounded(p, pair_bound, search_bound).to_json()
+        got = oracle.check_ore_bounded(p, pair_bound, search_bound)
     except oracle.BudgetExceeded:
         got = "over budget"
     try:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,29 @@ def test_ab_inproc_smoke(capsys):
     base, change = sys.modules["forestskein_base"], sys.modules["forestskein_change"]
     assert base is not change
     assert base.presentation.memo is not change.presentation.memo
+
+
+def test_ab_inproc_reports_a_planted_slowdown(capsys, monkeypatch):
+    ab = load_script("ab_inproc")
+    load_side = ab.load_side
+
+    def load_slowed(root, alias):
+        # the change side only: every compare busy-waits 100 us, several times
+        # its own cost on the query workload's warm caches
+        fs = load_side(root, alias)
+        if alias == "forestskein_change":
+            compare = fs.ordered_action.compare
+
+            def slow_compare(*args):
+                end = time.perf_counter() + 1e-4
+                while time.perf_counter() < end:
+                    pass
+                return compare(*args)
+            monkeypatch.setattr(fs.ordered_action, "compare", slow_compare)
+        return fs
+
+    monkeypatch.setattr(ab, "load_side", load_slowed)
+    ab.main(["--base", str(SCRIPTS.parent), "--workload", "query", "--blocks", "3",
+             "--seed", "1", "--seconds", "0.5", "--tiny"])
+    ops = json.loads(capsys.readouterr().out.splitlines()[-1])["metrics"]["ops_per_s"]
+    assert ops["median_ratio"] < 1 and ops["blocks_favouring_change"] == 0
