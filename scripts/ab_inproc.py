@@ -18,10 +18,13 @@ cleared, the workload is set up, its plan is timed, and its gates are
 checked; a tripped gate on either side stops the comparison.  The side that
 runs first switches from block to block.  For each metric it prints the
 change/base ratio of every block, their median and quartiles, and the
-number of blocks that favour the change; the last line of standard output
-is the same summary as one JSON object.  Peak memory is per process, so it
-is not compared here (`scripts/ab_pairs.py` does).  Only the standard
-library is used, and nothing under perfbench/ is changed.
+number of blocks that favour the change.  The same is printed for the p50
+latency of each op kind (census `relator` against the `cli.*` commands,
+say), so that a change to one kind shows apart from the others.  The last
+line of standard output is the whole summary as one JSON object, with the
+metrics under `metrics` and the op kinds under `kinds`.  Peak memory is per
+process, so it is not compared here (`scripts/ab_pairs.py` does).  Only the
+standard library is used, and nothing under perfbench/ is changed.
 """
 
 from __future__ import annotations
@@ -78,25 +81,43 @@ def measure(fs, root: Path, workloads, args) -> dict:
     workload.check(ctx)
     if ctx.errors:
         raise SystemExit(f"ab_inproc: a gate tripped in {root}: {ctx.errors[:3]}")
+    by_kind: dict = {}
+    for kind, latency in zip(ctx.kinds, ctx.latencies):
+        by_kind.setdefault(kind, []).append(latency)
     return {"setup_s": t1 - t0, "ops_per_s": len(ctx.latencies) / elapsed,
-            "op_p50_ms": 1000 * statistics.median(ctx.latencies), "failed": ctx.failed}
+            "op_p50_ms": 1000 * statistics.median(ctx.latencies), "failed": ctx.failed,
+            "kinds": {kind: (1000 * statistics.median(ls), len(ls))
+                      for kind, ls in sorted(by_kind.items())}}
+
+
+def ratio_stats(ratios: list, lower: bool) -> dict:
+    """The median and quartiles of change/base ratios, and how many favour the change."""
+    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                      if len(ratios) > 1 else ratios * 3)
+    return {"median_ratio": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "ratios": [round(r, 4) for r in ratios],
+            "blocks_favouring_change": sum((r < 1) if lower else (r > 1) for r in ratios)}
 
 
 def summarize(blocks: list) -> dict:
     """Per metric: the change/base ratio of each block, its median and quartiles,
     and the blocks that favour the change."""
-    out = {}
-    for name, lower in LOWER_IS_BETTER.items():
-        ratios = [h[name] / b[name] for b, h in blocks]
-        q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
-                          if len(ratios) > 1 else ratios * 3)
-        out[name] = {"median_ratio": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
-                     "ratios": [round(r, 4) for r in ratios],
-                     "blocks_favouring_change": sum((r < 1) if lower else (r > 1)
-                                                    for r in ratios)}
+    out = {name: ratio_stats([h[name] / b[name] for b, h in blocks], lower)
+           for name, lower in LOWER_IS_BETTER.items()}
     out["failed"] = {"base": [b["failed"] for b, _ in blocks],
                      "change": [h["failed"] for _, h in blocks]}
     return out
+
+
+def summarize_kinds(blocks: list) -> dict:
+    """Per op kind that both sides ran in every block: the change/base ratio of
+    its p50 latency in each block, as `summarize` reads a metric, and its op
+    count in the base's first block."""
+    kinds = set.intersection(*(set(b["kinds"]) & set(h["kinds"]) for b, h in blocks))
+    return {kind: {**ratio_stats([h["kinds"][kind][0] / b["kinds"][kind][0]
+                                  for b, h in blocks], True),
+                   "ops": blocks[0][0]["kinds"][kind][1]}
+            for kind in sorted(kinds)}
 
 
 def main(argv=None) -> int:
@@ -125,14 +146,15 @@ def main(argv=None) -> int:
         print(f"block {i + 1} ({order[0]} first): "
               + "  ".join(f"{k} {got['base'][k]:.4g} -> {got['change'][k]:.4g}"
                           for k in LOWER_IS_BETTER), flush=True)
-    summary = summarize(blocks)
-    for name in LOWER_IS_BETTER:
-        s = summary[name]
+    summary, kinds = summarize(blocks), summarize_kinds(blocks)
+    rows = [(name, summary[name]) for name in LOWER_IS_BETTER]
+    rows += [(f"p50 of {kind} ({s['ops']} ops)", s) for kind, s in kinds.items()]
+    for name, s in rows:
         print(f"{name:10s} median ratio x{s['median_ratio']:.3f} (quartiles {s['q1']:.3f}"
               f"-{s['q3']:.3f}); {s['blocks_favouring_change']}/{args.blocks} blocks favour "
               f"the change")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "blocks": args.blocks,
-                      "metrics": summary}))
+                      "metrics": summary, "kinds": kinds}))
     return 0
 
 

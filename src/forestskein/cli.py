@@ -195,6 +195,8 @@ def _tree_over(p: SkeinPresentation, text: str):
 
 
 def _parse_element(p: SkeinPresentation, text: str, base: str, bound: int):
+    """The element an expression names, or None when evaluating its vine word
+    runs out of the bound: an unknown, not an input error."""
     text = text.strip()
     if not text:
         raise CliError("empty expression (write `EXPR` or `EXPR eq EXPR`)")
@@ -210,8 +212,13 @@ def _parse_element(p: SkeinPresentation, text: str, base: str, bound: int):
         return fractions.word_to_element(letters, base, p, bound)
     except (ForestError, ValueError) as e:
         raise CliError(str(e))
-    except fractions.Unresolved as e:
-        raise CliError(f"unresolved while evaluating {text!r}: {e}")
+    except fractions.Unresolved:
+        return None
+
+
+def _normal_form(g):
+    """The rendered normal form of g, or None when g is unknown."""
+    return None if g is None else fractions.normal_form(g).render()
 
 
 def _parse_group_word(p: SkeinPresentation, text: str) -> list:
@@ -257,20 +264,20 @@ def eval(source, exprs, bound, colour, as_json):
         left, right = " ".join(parts[:i]), " ".join(parts[i + 1:])
         g = _parse_element(p, left, base, bound)
         h = _parse_element(p, right, base, bound)
-        ans = fractions.equals(g, h, bound)
+        ans = None if g is None or h is None else fractions.equals(g, h, bound)
         verdict = "unknown" if ans is None else ("equal" if ans else "distinct")
         report.add(Verdict("equality", verdict,
                            "unknown" if ans is None else "proved"))
-        lines = [f"lhs: {fractions.normal_form(g).render()}",
-                 f"rhs: {fractions.normal_form(h).render()}",
+        lines = [f"lhs: {_normal_form(g) or 'unknown'}",
+                 f"rhs: {_normal_form(h) or 'unknown'}",
                  f"equal: {verdict}"]
     else:
         g = _parse_element(p, " ".join(parts), base, bound)
-        nf = fractions.normal_form(g)
-        ident = fractions.is_identity(g, bound)
-        report.data["normal_form"] = nf.render()
+        nf = _normal_form(g)
+        ident = None if g is None else fractions.is_identity(g, bound)
+        report.data["normal_form"] = nf
         report.data["is_identity"] = ident
-        lines = [f"normal form: {nf.render()}",
+        lines = [f"normal form: {nf or 'unknown'}",
                  f"identity: {'unknown' if ident is None else ident}"]
     emit(report, as_json, lines)
 

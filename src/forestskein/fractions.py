@@ -15,12 +15,13 @@ Witness searches are semidecidable, so a bound exhaustion surfaces as the
 
 On the reversing route every witness is the complement pair of one
 reversal (`reversing.complement_codes`), kept as code words: the two
-witness forests are decoded from codes, `witness_starts` reads their block
-starts without building them, and words in the vine generators
-b_j, b^_j (`word_to_element`) keep the numerator and denominator as code
-words, each letter costing one reversal whose complements extend them, so
-that both trees are decoded once at the end.  On the oracle route each
-letter is multiplied in as a pair of trees.
+witness forests are decoded from codes, and `witness_starts` reads their
+block starts without building them.  Words in the vine generators
+b_j, b^_j keep the numerator and denominator as code words (`_word_codes`),
+one reversal per letter.  The identity of such a word (`word_is_identity`,
+behind relator evaluation) and `equals` compare canonical code words
+(`rules.canonical`, `reversing.codes_equal`) and build no tree.  On the
+oracle route each letter is multiplied in as a pair of trees.
 """
 
 from __future__ import annotations
@@ -92,11 +93,9 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree,
     u, v = word_from_tree(t), word_from_tree(s)    # iterative, unlike tuple ==
     if u == v:
         return True
-    if route(p) is not None:
-        ans = reversing.words_equal(p, u, v)
-        if ans == "unknown":
-            raise Unresolved("tree equivalence check exceeded the reversing budget")
-        return ans == "yes"
+    rules = route(p)
+    if rules is not None:
+        return _codes_equivalent(rules, rules.codes(u), rules.codes(v))
     bound = FRACTION_BOUND if bound is None else bound
     if caret_count(t) > bound:
         raise Unresolved(f"trees with {caret_count(t)} carets exceed the oracle bound {bound}")
@@ -104,6 +103,20 @@ def trees_equivalent(p: SkeinPresentation, t: Tree, s: Tree,
         return oracle.equivalent(p, (t,), (s,))
     except oracle.BudgetExceeded as e:
         raise Unresolved(f"tree equivalence check exceeded the oracle budget: {e}")
+
+
+def _codes_equivalent(rules, u, v) -> bool:
+    """Whether the trees of canonical code words u, v are congruent, or raise
+    Unresolved."""
+    ans = reversing.codes_equal(rules, u, v)
+    if ans == "unknown":
+        raise Unresolved("tree equivalence check exceeded the reversing budget")
+    return ans == "yes"
+
+
+def _tree_codes(rules, t: Tree) -> list:
+    """The code word of the canonical word of t."""
+    return rules.codes(word_from_tree(t))
 
 
 def _witness_codes(rules, u, v) -> tuple:
@@ -122,7 +135,7 @@ def common_multiple_witness(p: SkeinPresentation, t: Tree, s: Tree,
     """Forests (f, f') with t . f ~ s . f', or raise Unresolved."""
     rules = route(p)
     if rules is not None:
-        u, v = _witness_codes(rules, *(rules.codes(word_from_tree(x)) for x in (t, s)))
+        u, v = _witness_codes(rules, _tree_codes(rules, t), _tree_codes(rules, s))
         return (forest_from_word(rules.decode(u), leaf_count(t)),
                 forest_from_word(rules.decode(v), leaf_count(s)))
     bound = FRACTION_BOUND if bound is None else bound
@@ -165,11 +178,20 @@ def multiply(g: GroupElement, h: GroupElement, bound: int | None = None) -> Grou
 
 
 def equals(g: GroupElement, h: GroupElement, bound: int | None = None):
-    """True / False / None(unknown) under fraction equivalence."""
+    """True / False / None(unknown) under fraction equivalence: both numerators
+    grown by the witness of the denominators compare equal.  With reversing, a
+    grown numerator is its tree's code word followed by a complement, and no
+    forest is decoded or composed."""
     if g.presentation != h.presentation:
         raise ValueError("elements live over different presentations")
     p = g.presentation
+    rules = route(p)
     try:
+        if rules is not None:
+            left, right = _witness_codes(rules, _tree_codes(rules, g.denominator),
+                                         _tree_codes(rules, h.denominator))
+            return _codes_equivalent(rules, rules.canonical(_tree_codes(rules, g.numerator) + left),
+                                     rules.canonical(_tree_codes(rules, h.numerator) + right))
         f, f2 = common_multiple_witness(p, g.denominator, h.denominator, bound)
         num_g = compose((g.numerator,), f)[0]
         num_h = compose((h.numerator,), f2)[0]
@@ -240,29 +262,60 @@ def generator_element(p: SkeinPresentation, base_colour: str, colour: str,
     return GroupElement(tree_from_word(num), tree_from_word(den), p)
 
 
+def _word_codes(rules, letters, base_colour: str) -> tuple:
+    """The numerator and denominator code words of a signed vine-generator word.
+
+    A letter [n, d] costs one reversal of D^-1 n, D the denominator so far,
+    whose complements extend the numerator and d.  Each generator is coded
+    once per call; raise Unresolved at the first letter whose reversal does
+    not terminate.
+    """
+    gens, num, den = {}, [], []
+    for colour, index, hatted, sign in letters:
+        pair = gens.get((colour, index, hatted))
+        if pair is None:
+            if colour not in rules.rank:
+                raise ValueError(f"unknown colour {colour!r}")
+            pair = gens[colour, index, hatted] = tuple(
+                map(rules.codes, _generator_words(base_colour, colour, index, hatted)))
+        n, d = pair[::-1] if sign < 0 else pair
+        left, right = _witness_codes(rules, den, n)
+        num, den = num + left, d + right
+    return num, den
+
+
 def word_to_element(letters, base_colour: str, p: SkeinPresentation,
                     bound: int | None = None) -> GroupElement:
     """Evaluate a signed word of (colour, index, hatted, sign) letters in G.
 
-    With reversing, the numerator and denominator stay code words: a letter
-    [n, d] costs one reversal of D^-1 n, D the denominator so far, whose
-    complements extend the numerator and d; both trees are decoded once at
-    the end.  Otherwise each letter is multiplied in as a pair of trees.
+    With reversing, both trees are decoded from the code words of
+    `_word_codes`.  Otherwise each letter is multiplied in as a pair of trees.
     """
     rules = route(p)
-    out, num, den = identity(p), [], []
+    if rules is not None:
+        return GroupElement(*(tree_from_word(rules.decode(w))
+                              for w in _word_codes(rules, letters, base_colour)), p)
+    out = identity(p)
     for colour, index, hatted, sign in letters:
         if colour not in p.colours:
             raise ValueError(f"unknown colour {colour!r}")
-        if rules:
-            n, d = map(rules.codes, _generator_words(base_colour, colour, index, hatted))
-            if sign < 0:
-                n, d = d, n
-            left, right = _witness_codes(rules, den, n)
-            num, den = num + left, d + right
-        else:
-            e = generator_element(p, base_colour, colour, index, hatted)
-            out = multiply(out, invert(e) if sign < 0 else e, bound)
-    if rules:
-        return GroupElement(*(tree_from_word(rules.decode(w)) for w in (num, den)), p)
+        e = generator_element(p, base_colour, colour, index, hatted)
+        out = multiply(out, invert(e) if sign < 0 else e, bound)
     return out
+
+
+def word_is_identity(letters, base_colour: str, p: SkeinPresentation,
+                     bound: int | None = None):
+    """`is_identity(word_to_element(letters, base_colour, p, bound), bound)`:
+    True, False, or None when the comparison is unresolved; a letter whose
+    witness is unresolved raises Unresolved.  With reversing, the canonical
+    code words of the numerator and the denominator are compared, and no tree
+    is built."""
+    rules = route(p)
+    if rules is None:
+        return is_identity(word_to_element(letters, base_colour, p, bound), bound)
+    num, den = _word_codes(rules, letters, base_colour)
+    try:
+        return _codes_equivalent(rules, rules.canonical(num), rules.canonical(den))
+    except Unresolved:
+        return None

@@ -217,9 +217,11 @@ def relator_letters(rel: Relator) -> list:
 
 
 def evaluate_relator(pres: GroupPresentation, rel: Relator, bound: int | None = None):
-    elem = fractions.word_to_element(
-        relator_letters(rel), pres.base_colour, pres.presentation, bound)
-    return fractions.is_identity(elem, bound)
+    """True when the relator is the identity of the fraction group, False when
+    it is not, None when the comparison is unresolved; a letter whose witness
+    is unresolved raises `fractions.Unresolved`."""
+    return fractions.word_is_identity(relator_letters(rel), pres.base_colour,
+                                      pres.presentation, bound)
 
 
 @dataclass

@@ -25,7 +25,10 @@ boundary of the one terminal and not decoded: the Ore witnesses, their leaf
 starts (`fractions.witness_starts`, through `block_starts`), vine-word
 evaluation and the cofinal Ore search keep complements as code words and
 decode (`rules.decode`) at most the words they return; the cube expressions
-of `is_complete` read `complement`, which decodes its pair.
+of `is_complete` read `complement`, which decodes its pair.  Fraction
+identity and equality reach `codes_equal`, `words_equal` on code words,
+with the canonical code word of each tree (`rules.canonical`), which is
+read off a tree code word without building the tree.
 `reverses_to_empty`, `words_equal` and `left_divides` ask only whether some
 terminal meets a goal (the empty word, or a word with no negative letter),
 so they answer on the code words without decoding, and the branching search
@@ -162,6 +165,32 @@ class _Rules:
     def decode(self, codes) -> tuple:
         """The positive word of a code word."""
         return tuple(map(self.letters.__getitem__, codes))
+
+    def canonical(self, codes) -> list:
+        """`codes(word_from_tree(tree_from_word(decode(codes))))` for the code
+        word of a tree, in one pass over ints: the carets are placed as
+        `forest._decode` places them, then read level by level as
+        `word_from_tree` reads them."""
+        C = self.C
+        slots, child = [0], [-1]    # open leaf slots; slot -> the caret there, -1 a leaf
+        for m, a in enumerate(codes):   # caret m owns slots 2m + 1 and 2m + 2
+            i = a // C - 2
+            child[slots[i]] = m
+            child += (-1, -1)
+            slots[i:i + 1] = (2 * m + 1, 2 * m + 2)
+        word, level = [], [(0, 1)] if codes else []
+        while level:
+            nxt = []
+            for shift, (m, pos) in enumerate(level):
+                pos += shift
+                word.append((pos + 1) * C + codes[m] % C)
+                left, right = child[2 * m + 1], child[2 * m + 2]
+                if left >= 0:
+                    nxt.append((left, pos))
+                if right >= 0:
+                    nxt.append((right, pos + 1))
+            level = nxt
+        return word
 
     def split(self, word) -> tuple:
         """Decode a pattern-free word into (positive prefix, positive suffix word)."""
@@ -391,6 +420,15 @@ def left_divides(p: SkeinPresentation, u, v,
     """
     rules = rules_of(p)
     return _decide(rules, _quotient(rules.codes(u), rules.codes(v)), budget, _positive)
+
+
+def codes_equal(rules: _Rules, u, v, budget: ReversingBudget | None = None) -> str:
+    """`words_equal` on code words u, v of positive words."""
+    if len(u) != len(v):
+        return "no"
+    if u == v:
+        return "yes"
+    return _decide(rules, _quotient(u, v), budget, _empty)
 
 
 def words_equal(p: SkeinPresentation, u, v,

@@ -7,23 +7,29 @@ relation in both directions.  The oracle's class search and `saturate` walk
 
 The rest serve the tests only: the class order and bounded minimal common
 multiples over the oracle's class reads, signed-word helpers for reversing,
-the cube word of the completeness check, and the iterates of a tree.
+the cube word of the completeness check, the iterates of a tree, and the
+tree path of fraction identity and equality on reversing presentations
+(`vine_word_trees`, `trees_equal`, `fractions_equal`), which builds and
+composes trees and compares their words with `reversing.words_equal`.
 """
 
 import functools
 from dataclasses import dataclass
 
-from forestskein import oracle, reversing
+from forestskein import fractions, oracle, reversing
 from forestskein.forest import (
     caret_count,
     compose,
     find_occurrences,
     forest_caret_count,
+    forest_from_word,
     forest_key,
     forests_with_carets,
     leaf_count,
     parse_word,
     rewrite_at,
+    tree_from_word,
+    word_from_tree,
 )
 
 
@@ -118,3 +124,51 @@ def iterate_tree(t, depth: int):
     for _ in range(depth - 1):
         out = compose((out,), (t,) * leaf_count(out))[0]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The tree path of fraction identity and equality on reversing presentations
+
+def vine_word_trees(p, letters, base: str) -> tuple:
+    """The numerator and denominator trees of a word of (colour, index, hatted,
+    sign) vine-generator letters: b_j = [t_{j+1} b_{j,j+1}, t_{j+2}] and
+    b^_j = [t_j b_{j,j}, t_{j+1}] for the base-colour vines t_n.  Each letter
+    costs one reversal of D^-1 n, D the denominator so far, whose complements
+    extend the numerator and d; raise `fractions.Unresolved` when it does not
+    terminate."""
+    rules = reversing.rules_of(p)
+    num, den = [], []
+    for colour, index, hatted, sign in letters:
+        d = [(base, k) for k in range(1, index + (1 if hatted else 2))]
+        n = rules.codes(d[:-1] + [(colour, index)])
+        d = rules.codes(d)
+        if sign < 0:
+            n, d = d, n
+        status, left, right = reversing.complement_codes(rules, den, n)
+        if left is None:
+            raise fractions.Unresolved(status)
+        num, den = num + left, d + right
+    return tuple(tree_from_word(rules.decode(w)) for w in (num, den))
+
+
+def trees_equal(p, t, s):
+    """t ~ s by `reversing.words_equal` on their canonical words; None when
+    the reversing budget runs out."""
+    if leaf_count(t) != leaf_count(s):
+        return False
+    ans = reversing.words_equal(p, word_from_tree(t), word_from_tree(s))
+    return None if ans == "unknown" else ans == "yes"
+
+
+def fractions_equal(g, h):
+    """[t, s] = [t', s'] by growing both numerators with the complement of the
+    denominators and composing; None when a reversal does not settle."""
+    p = g.presentation
+    rules = reversing.rules_of(p)
+    u, v = (rules.codes(word_from_tree(x.denominator)) for x in (g, h))
+    _status, left, right = reversing.complement_codes(rules, u, v)
+    if left is None:
+        return None
+    f = forest_from_word(rules.decode(left), leaf_count(g.denominator))
+    f2 = forest_from_word(rules.decode(right), leaf_count(h.denominator))
+    return trees_equal(p, compose((g.numerator,), f)[0], compose((h.numerator,), f2)[0])

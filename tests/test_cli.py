@@ -337,6 +337,27 @@ def test_eval_over_the_oracle_budget_is_unknown(args):
     assert "unknown" in res.output.splitlines()[-1]
 
 
+# Vine words whose first letter already needs a witness over the bound: the
+# evaluation is unknown, which completes with exit 0, not an input error.
+@pytest.mark.parametrize("args", [
+    ("rebel", "a1 b2"),
+    ("rebel", "a1 b2", "eq", "b2 a1"),
+    ("notlc", "a1 b1^-1 a2"),
+], ids=["rebel", "rebel-eq", "notlc"])
+def test_eval_unresolved_word_is_unknown(args):
+    res = run("eval", *args, "--bound", "1")
+    assert res.exit_code == 0 and res.exception is None
+    assert "unresolved" not in res.output
+    doc = json.loads(run("eval", *args, "--bound", "1", "--json").output)
+    if "eq" in args:
+        assert res.output.splitlines() == ["lhs: unknown", "rhs: unknown", "equal: unknown"]
+        assert [(v["verdict"], v["confidence"]) for v in doc["verdicts"]] == \
+            [("unknown", "unknown")]
+    else:
+        assert res.output.splitlines() == ["normal form: unknown", "identity: unknown"]
+        assert doc["is_identity"] is None and doc["normal_form"] is None
+
+
 def test_examples_emit(tmp_path):
     res = run("examples", "emit", "dv2", "--dir", str(tmp_path))
     assert res.exit_code == 0

@@ -15,16 +15,18 @@ The bounded Ore check, which compares classes by identity, also gives the
 report of a reference that compares canonical members of sorted class reads.
 A left-cancellativity "yes" meets no counterexample at the refutation bound,
 and vine words evaluate to equal fractions on the reversing and the oracle
-route.
+route.  On the reversing route, fraction identity and equality on code words
+answer as the tree path of `reference` does, `None` and `Unresolved` included.
 """
 
+import collections
 import functools
 import itertools
 import random
 
 import pytest
 
-from forestskein import corpus, fractions, oracle, ore_spine, reversing
+from forestskein import corpus, fractions, group_presentation, oracle, ore_spine, reversing
 from forestskein.config import (
     ABSORPTION_BOUND,
     LC_REFUTE_BOUND,
@@ -36,12 +38,14 @@ from forestskein.forest import (
     caret,
     compose,
     forest_caret_count,
+    leaf_count,
+    random_forest,
     random_tree,
     render_forest,
     word_from_tree,
 )
 from forestskein.presentation import SkeinPresentation, parse
-from reference import stratum
+from reference import fractions_equal, stratum, trees_equal, vine_word_trees
 
 PARTIAL_CUBES = {
     "rand33": "colors: a, b, c\nrel: a1 b2 = b1 b1\nrel: a1 = c1\n",
@@ -184,3 +188,74 @@ def test_word_routes_give_equal_fractions(name, monkeypatch):
     answers = [fractions.equals(g, h) for g, h in zip(by_reversing, by_oracle) if h is not None]
     assert False not in answers
     assert answers.count(True) >= 0.9 * len(words)
+
+
+def _reversing_route_presentations() -> list:
+    """Every corpus entry on the reversing route and four seeded f_tau families."""
+    out = [p for p in map(corpus.load, corpus.names()) if fractions.route(p) is not None]
+    rng, families = random.Random(39), []
+    while len(families) < 4:
+        n, leaves = rng.choice((2, 3)), rng.choice((3, 4))
+        tau = {c: random_tree(rng, ("x",), leaves - 1) for c in "abc"[:n]}
+        q = ore_spine.build_f_tau(tau, name=f"fam{len(families)}").presentation
+        if fractions.route(q) is not None:
+            families.append(q)
+    return out + families
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except fractions.Unresolved:
+        return "Unresolved"
+
+
+def _vine_words(rng, p, count) -> list:
+    """Seeded signed vine words, hatted letters among them; one letter in ten
+    has an index up to 70, past the reversing index ceiling."""
+    return [[(rng.choice(p.colours), rng.randint(1, 70) if rng.random() < 0.1 else rng.randint(1, 4),
+              rng.random() < 0.3, rng.choice((1, -1))) for _ in range(rng.randint(1, 8))]
+            for _ in range(count)]
+
+
+def test_code_word_identity_is_the_tree_path():
+    # every relator of the finite presentations at every base colour, and
+    # seeded words: `word_is_identity` and `word_to_element` against the
+    # reference's trees, built and compared by their words
+    rng = random.Random(40)
+    seen = collections.Counter()
+    for p in _reversing_route_presentations():
+        words = [(base, group_presentation.relator_letters(r)) for base in p.colours
+                 for r in group_presentation.finite_presentation(p, base).relators]
+        words += [(p.colours[0], w) for w in _vine_words(rng, p, 60)]
+        for base, w in words:
+            trees = _answer(vine_word_trees, p, w, base)
+            want = trees if trees == "Unresolved" else trees_equal(p, *trees)
+            got = _answer(fractions.word_is_identity, w, base, p)
+            assert got == want, (p.name, base, w)
+            g = _answer(fractions.word_to_element, w, base, p)
+            assert (g == "Unresolved") if trees == "Unresolved" else \
+                (g.numerator, g.denominator) == trees, (p.name, base, w)
+            seen[got] += 1
+    assert all(seen[k] > 0 for k in (True, False, None, "Unresolved")), seen
+
+
+def test_code_word_equality_is_the_tree_path():
+    # `equals` against growing both numerators by composing, on pairs of
+    # evaluated vine words: a word against itself grown by a forest, and
+    # against another word
+    rng = random.Random(41)
+    seen = collections.Counter()
+    for p in _reversing_route_presentations():
+        elements = [g for g in (_answer(fractions.word_to_element, w, p.colours[0], p)
+                                for w in _vine_words(rng, p, 40)) if g != "Unresolved"]
+        for g in elements:
+            n = leaf_count(g.numerator)
+            f = random_forest(rng, p.colours, n, rng.randint(0, 3))
+            grown = fractions.GroupElement(compose((g.numerator,), f)[0],
+                                           compose((g.denominator,), f)[0], p)
+            for h in (grown, rng.choice(elements)):
+                got = fractions.equals(g, h)
+                assert got == fractions_equal(g, h), (p.name, g.render(), h.render())
+                seen[got] += 1
+    assert all(seen[k] > 0 for k in (True, False, None)), seen

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -424,6 +425,57 @@ def test_complement_codes_match_reverse():
         assert seen[status, budgets[0]] > 0
     assert seen["budget_exhausted", budgets[1]] > 0
     assert seen["budget_exhausted", budgets[2]] > 0
+
+
+@pytest.mark.parametrize("colours", ["a", "ab", "abc", "abcd"])
+def test_canonical_is_the_code_of_the_built_tree(colours):
+    # seeded tree words, each letter at any open leaf, against the code word
+    # of the canonical word of the tree that the word builds
+    p = parse(f"name: canon{len(colours)}\ncolors: {', '.join(colours)}\n")
+    rules = rv.rules_of(p)
+    rng = random.Random(colours)
+    words = [[]] + [[(rng.choice(colours), rng.randint(1, k)) for k in range(1, n + 1)]
+                    for n in (rng.randint(1, 12) for _ in range(300))]
+    for word in words:
+        codes = rules.codes(word)
+        want = rules.codes(word_from_tree(tree_from_word(rules.decode(codes))))
+        assert rules.canonical(codes) == want, word
+    assert rules.canonical([]) == []
+
+
+def test_canonical_on_a_long_vine(cleary):
+    # 20,000 levels, far past the recursion limit; the right vine's word is
+    # canonical already, and the pass over it is linear (about 15 ms, 2 vCPU)
+    rules = rv.rules_of(cleary)
+    vine = rules.codes([("b", k) for k in range(1, 20_001)])
+    t0 = time.perf_counter()
+    assert rules.canonical(vine) == vine
+    assert time.perf_counter() - t0 < 1.0
+    # a left vine with a right leg: caret k + 1 at leaf 1, then the leg
+    word = [("a", 1)] * 10_000 + [("b", k) for k in range(2, 10_002)]
+    codes = rules.codes(word)
+    assert rules.canonical(codes) == rules.codes(word_from_tree(tree_from_word(word)))
+
+
+def test_codes_equal_is_words_equal():
+    # on the code words of positive words, under tight budgets too
+    rng = random.Random(23)
+    presentations = [corpus.load(n) for n in ("cleary", "ternary", "rebel", "notlc", "dv2")]
+    budgets = (ReversingBudget(), ReversingBudget(steps=20))
+    seen = collections.Counter()
+    for p in presentations:
+        rules = rv.rules_of(p)
+        for budget in budgets:
+            for _ in range(60):
+                t = random_tree(rng, p.colours, rng.randint(0, 5))
+                u = word_from_tree(t)
+                members = oracle.class_members(p, (t,))
+                v = word_from_tree(rng.choice(members)[0]) if rng.random() < 0.5 else \
+                    word_from_tree(random_tree(rng, p.colours, len(u)))
+                got = rv.codes_equal(rules, rules.codes(u), rules.codes(v), budget)
+                assert got == rv.words_equal(p, u, v, budget), (p.name, u, v)
+                seen[got] += 1
+    assert set(seen) == {"yes", "no", "unknown"}, seen
 
 
 def test_code_word_answers_do_not_decode(monkeypatch, cleary, rebel):

@@ -105,6 +105,13 @@ def test_ab_inproc_smoke(capsys):
         assert len(m["ratios"]) == 2 and 0 <= m["blocks_favouring_change"] <= 2
         assert 0 < m["q1"] <= m["median_ratio"] <= m["q3"]
     assert metrics["failed"] == {"base": [0, 0], "change": [0, 0]}
+    # the p50 ratio of every op kind the query plan runs, beside the metrics
+    kinds = summary["kinds"]
+    assert {"normalize_point", "compare", "equals", "normal_form"} <= set(kinds)
+    for k in kinds.values():
+        assert len(k["ratios"]) == 2 and 0 <= k["blocks_favouring_change"] <= 2
+        assert 0 < k["q1"] <= k["median_ratio"] <= k["q3"] and k["ops"] >= 1
+    assert any(line.startswith("p50 of compare (") for line in lines)
     # both sides are separate packages, each with its own memo
     base, change = sys.modules["forestskein_base"], sys.modules["forestskein_change"]
     assert base is not change
