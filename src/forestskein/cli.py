@@ -268,9 +268,9 @@ def eval(source, exprs, bound, colour, as_json):
         verdict = "unknown" if ans is None else ("equal" if ans else "distinct")
         report.add(Verdict("equality", verdict,
                            "unknown" if ans is None else "proved"))
-        lines = [f"lhs: {_normal_form(g) or 'unknown'}",
-                 f"rhs: {_normal_form(h) or 'unknown'}",
-                 f"equal: {verdict}"]
+        lines = [] if as_json else [f"lhs: {_normal_form(g) or 'unknown'}",
+                                    f"rhs: {_normal_form(h) or 'unknown'}",
+                                    f"equal: {verdict}"]
     else:
         g = _parse_element(p, " ".join(parts), base, bound)
         nf = _normal_form(g)

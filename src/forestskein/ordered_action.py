@@ -12,9 +12,10 @@ is growth-invariant.
 Group elements with a permutation layer act on points.  Permutations are
 stored bottom-to-top: perm[i] is the strand position above slot i+1.  The
 defining case is act((s, pi, t), [t, j]) = [s, pi(j)]; the general case
-grows the triple, pushing the permutation through the growth forest with
-the block exchange implemented by `zappa_szep`.  Products compose the
-permutation parts as functions, making `act` a left action.
+grows the triple by f along t, to (s . f^tau, (tau^f)^-1, t . f) with
+tau = pi^-1 and the block exchange `zappa_szep`, and composes only the
+trees it reads.  Products compose the permutation parts as functions,
+making `act` a left action.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def zappa_szep(perm: Perm, f: Forest) -> tuple:
         raise ValueError(f"permutation on {len(perm)} strands against {n} roots")
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("not a bijection")
-    starts, out = leaf_starts(f), []
+    bounds, out = list(itertools.accumulate(map(leaf_count, f), initial=0)), []
     for b in perm:      # the leaves of block b of f, in the order of f^tau
-        out.extend(range(starts[b - 1] + 1, starts[b - 1] + leaf_count(f[b - 1]) + 1))
+        out.extend(range(bounds[b - 1] + 1, bounds[b] + 1))
     return tuple(f[b - 1] for b in perm), tuple(out)
 
 
@@ -349,32 +350,22 @@ def perm_invert(g: PermutationElement) -> PermutationElement:
                               g.numerator, g.presentation)
 
 
-def _grow_triple(g: PermutationElement, f: Forest) -> PermutationElement:
-    """Grow the denominator by f, shuffling f onto the numerator side."""
-    shuffled, block_map = zappa_szep(invert_perm(g.perm), f)
-    return PermutationElement(
-        compose((g.numerator,), shuffled)[0],
-        invert_perm(block_map),
-        compose((g.denominator,), f)[0],
-        g.presentation,
-    )
-
-
 def perm_multiply(g: PermutationElement, h: PermutationElement,
                   bound: int | None = None) -> PermutationElement:
-    """g . h, applying h first; permutation parts compose as functions."""
+    """g . h, applying h first; permutation parts compose as functions.  Only
+    g's grown numerator and h's grown denominator are composed."""
     if g.presentation != h.presentation:
         raise ValueError("elements live over different presentations")
     p, q = fractions.common_multiple_witness(
         g.presentation, g.denominator, h.numerator, bound)
-    g2 = _grow_triple(g, p)
+    shuffled, g_map = zappa_szep(invert_perm(g.perm), p)
     # grow h's numerator by q: pick f with its shuffle equal to q
     f = tuple(q[h.perm[j] - 1] for j in range(len(q)))
-    h2 = _grow_triple(h, f)
+    _, h_map = zappa_szep(invert_perm(h.perm), f)
     return PermutationElement(
-        g2.numerator,
-        compose_perms(g2.perm, h2.perm),
-        h2.denominator,
+        compose((g.numerator,), shuffled)[0],
+        compose_perms(invert_perm(g_map), invert_perm(h_map)),
+        compose((h.denominator,), f)[0],
         g.presentation,
     )
 
@@ -382,15 +373,15 @@ def perm_multiply(g: PermutationElement, h: PermutationElement,
 def act(g: PermutationElement, x: OrderedPoint,
         bound: int | None = None) -> OrderedPoint:
     """Left action on points: act((s, pi, t), [t, j]) = [s, pi(j)], extended
-    by growing the triple along an Ore witness.  Raises Unresolved when no
-    witness fits the bound."""
+    by growing the triple along an Ore witness; only the grown numerator is
+    composed.  Raises Unresolved when no witness fits the bound."""
     if g.presentation != x.presentation:
         raise ValueError("element and point live over different presentations")
     p, p2 = fractions.common_multiple_witness(
         g.presentation, x.tree, g.denominator, bound)
-    grown = _grow_triple(g, p2)
-    j = leaf_image(p, x.leaf)
-    return normalize_point(g.presentation, grown.numerator, grown.perm[j - 1])
+    shuffled, block_map = zappa_szep(invert_perm(g.perm), p2)
+    numerator_leaf = block_map.index(leaf_image(p, x.leaf)) + 1
+    return normalize_point(g.presentation, compose((g.numerator,), shuffled)[0], numerator_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +470,8 @@ def co_represent(pts, bound: int | None = None) -> tuple:
     z, marks = pts[0].tree, [pts[0].leaf]
     for x in pts[1:]:
         f, f2 = fractions.common_multiple_witness(p, z, x.tree, bound)
-        marks = [leaf_image(f, m) for m in marks]
+        starts = leaf_starts(f)
+        marks = [starts[m - 1] + 1 for m in marks]
         z = compose((z,), f)[0]
         marks.append(leaf_image(f2, x.leaf))
     if len(set(marks)) != len(marks):
@@ -514,10 +506,10 @@ def transitivity_witness(A, B, bound: int | None = None):
         marksA.sort()
         marksB.sort()
         nA, nB = leaf_count(zA), leaf_count(zB)
-        cA = PermutationElement(zA, rotation(nA, 1 - marksA[0]), zA, p)
-        cB = PermutationElement(zB, rotation(nB, 1 - marksB[0]), zB, p)
-        marksA = sorted(rotation(nA, 1 - marksA[0])[m - 1] for m in marksA)
-        marksB = sorted(rotation(nB, 1 - marksB[0])[m - 1] for m in marksB)
+        rA, rB = rotation(nA, 1 - marksA[0]), rotation(nB, 1 - marksB[0])
+        cA, cB = PermutationElement(zA, rA, zA, p), PermutationElement(zB, rB, zB, p)
+        marksA = sorted(rA[m - 1] for m in marksA)
+        marksB = sorted(rB[m - 1] for m in marksB)
         pads = 0        # a pad at mark q leaves the marks before q in place
         for q in range(1, len(marksA)):
             delta = marksB[q] - marksA[q]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import dataclass
 
 from .forest import (
@@ -244,7 +243,3 @@ def to_json(p: SkeinPresentation) -> dict:
             for lhs, rhs in p.relations
         ],
     }
-
-
-def dumps(p: SkeinPresentation) -> str:
-    return json.dumps(to_json(p), sort_keys=True, indent=2)

@@ -10,13 +10,15 @@ multiples over the oracle's class reads, signed-word helpers for reversing,
 the cube word of the completeness check, the iterates of a tree, and the
 tree path of fraction identity and equality on reversing presentations
 (`vine_word_trees`, `trees_equal`, `fractions_equal`), which builds and
-composes trees and compares their words with `reversing.words_equal`.
+composes trees and compares their words with `reversing.words_equal`, and
+the action by whole grown triples (`grow_triple`, `perm_multiply`, `act`),
+which grows and validates both sides of every triple it touches.
 """
 
 import functools
 from dataclasses import dataclass
 
-from forestskein import fractions, oracle, reversing
+from forestskein import fractions, oracle, ordered_action as oa, reversing
 from forestskein.forest import (
     caret_count,
     compose,
@@ -26,6 +28,7 @@ from forestskein.forest import (
     forest_key,
     forests_with_carets,
     leaf_count,
+    leaf_starts,
     parse_word,
     rewrite_at,
     tree_from_word,
@@ -172,3 +175,54 @@ def fractions_equal(g, h):
     f = forest_from_word(rules.decode(left), leaf_count(g.denominator))
     f2 = forest_from_word(rules.decode(right), leaf_count(h.denominator))
     return trees_equal(p, compose((g.numerator,), f)[0], compose((h.numerator,), f2)[0])
+
+
+# ---------------------------------------------------------------------------
+# The action by whole grown triples
+
+def zappa_szep(perm, f) -> tuple:
+    """(f^tau, tau^f) with tau . f = f^tau . tau^f, from the block starts of f."""
+    starts, out = leaf_starts(f), []
+    for b in perm:
+        out.extend(range(starts[b - 1] + 1, starts[b - 1] + leaf_count(f[b - 1]) + 1))
+    return tuple(f[b - 1] for b in perm), tuple(out)
+
+
+def grow_triple(g, f):
+    """Grow the denominator by f, shuffling f onto the numerator side."""
+    shuffled, block_map = zappa_szep(oa.invert_perm(g.perm), f)
+    return oa.PermutationElement(
+        compose((g.numerator,), shuffled)[0],
+        oa.invert_perm(block_map),
+        compose((g.denominator,), f)[0],
+        g.presentation,
+    )
+
+
+def perm_multiply(g, h, bound=None):
+    """g . h, applying h first, by growing both triples whole."""
+    if g.presentation != h.presentation:
+        raise ValueError("elements live over different presentations")
+    p, q = fractions.common_multiple_witness(
+        g.presentation, g.denominator, h.numerator, bound)
+    g2 = grow_triple(g, p)
+    # grow h's numerator by q: pick f with its shuffle equal to q
+    f = tuple(q[h.perm[j] - 1] for j in range(len(q)))
+    h2 = grow_triple(h, f)
+    return oa.PermutationElement(
+        g2.numerator,
+        oa.compose_perms(g2.perm, h2.perm),
+        h2.denominator,
+        g.presentation,
+    )
+
+
+def act(g, x, bound=None):
+    """[s, pi(j)] after growing the triple (s, pi, t) whole onto x's tree."""
+    if g.presentation != x.presentation:
+        raise ValueError("element and point live over different presentations")
+    p, p2 = fractions.common_multiple_witness(
+        g.presentation, x.tree, g.denominator, bound)
+    grown = grow_triple(g, p2)
+    j = leaf_starts(p)[x.leaf - 1] + 1
+    return oa.normalize_point(g.presentation, grown.numerator, grown.perm[j - 1])

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from forestskein import corpus, oracle, reversing
+from forestskein import corpus, fractions, oracle, reversing
 from forestskein.cli import main
 from forestskein.presentation import parse
 
@@ -356,6 +356,27 @@ def test_eval_unresolved_word_is_unknown(args):
     else:
         assert res.output.splitlines() == ["normal form: unknown", "identity: unknown"]
         assert doc["is_identity"] is None and doc["normal_form"] is None
+
+
+@pytest.mark.parametrize("args", [
+    ("cleary", "a1 a1", "eq", "b1 b2"),
+    ("rebel", "a1", "eq", "b1"),
+], ids=["cleary", "rebel"])
+def test_eval_eq_json_computes_no_normal_form(args, monkeypatch):
+    # the `eq` report holds no normal form, so only the text lines compute them
+    text = run("eval", *args).output.splitlines()
+    assert [line.split(": ")[0] for line in text] == ["lhs", "rhs", "equal"]
+    assert "unknown" not in text[0] + text[1]
+    want = json.loads(run("eval", *args, "--json").output)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("normal_form called for a JSON report")
+    monkeypatch.setattr(fractions, "normal_form", refuse)
+    res = run("eval", *args, "--json")
+    assert res.exit_code == 0 and res.exception is None
+    got = json.loads(res.output)
+    assert got.pop("wall_time_ms") >= 0 and want.pop("wall_time_ms") >= 0
+    assert got == want
 
 
 def test_examples_emit(tmp_path):

@@ -1,14 +1,17 @@
 """No leftovers in src: every module-level import is used, and every private
 module-level function or class is referenced in its own module.  No private
 name crosses a module line: no src module imports a `_name` from, or reads a
-`_name` of, another forestskein module."""
+`_name` of, another forestskein module.  Every public, undecorated
+module-level function or class has a reader in src, tests, scripts or
+perfbench."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "forestskein"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "forestskein"
 
 
 def _names_read(tree) -> set:
@@ -96,3 +99,86 @@ def test_the_scan_sees_crossings():
     assert sorted(crossings(source)) == [
         "imports forest._hanging", "imports forestskein.oracle._sides",
         "reads oracle._neighbours", "reads rv._rules"]
+
+
+def reads(source: str) -> set:
+    """The (module, name) pairs a file reaches through a forestskein module:
+    `from .m import x` or `from forestskein.m import x`, and `m.x` or
+    `fs.m.x` for a module bound by `from . import m`, `from forestskein
+    import m`, `import forestskein.m as m` or `import forestskein as fs`.
+    A name read off any other object, such as `json.dumps`, is not a read."""
+    tree = ast.parse(source)
+    modules, packages, out = {}, set(), set()       # local name -> module; names of the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.partition(".")[0] != "forestskein":
+                    continue
+                module = module.partition(".")[2]
+            for alias in node.names:
+                if module:
+                    out.add((module, alias.name))
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package != "forestskein":
+                    continue
+                if module and alias.asname:
+                    modules[alias.asname] = module
+                else:
+                    packages.add(alias.asname or package)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                out.add((modules[base.id], node.attr))
+            elif isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name) \
+                    and base.value.id in packages:
+                out.add((base.attr, node.attr))
+    return out
+
+
+def unread(module: str, source: str, others: set) -> list:
+    """The public, undecorated module-level functions and classes of `module`
+    that no other file reads through it (`others`, from `reads`) and that its
+    own module reads nowhere outside their own definitions."""
+    tree = ast.parse(source)
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_") and not node.decorator_list \
+                and (module, node.name) not in others \
+                and not any(isinstance(n, ast.Name) and n.id == node.name
+                            and isinstance(n.ctx, ast.Load)
+                            for stmt in tree.body if stmt is not node for n in ast.walk(stmt)):
+            out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_every_public_def_has_a_reader():
+    read_by = {path: reads(path.read_text()) for d in ("src", "tests", "scripts", "perfbench")
+               for path in sorted((ROOT / d).rglob("*.py"))}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        others = set().union(*(r for reader, r in read_by.items() if reader != path))
+        found += unread(path.stem, path.read_text(), others)
+    assert found == []
+
+
+def test_the_scan_sees_unread_defs():
+    reader = ("import json\nimport forestskein as fs\n"
+              "from forestskein import fractions as fr\nfrom .oracle import descend\n"
+              "json.dumps, fr.equals, fs.forest.compose, descend\n")
+    module = ("import functools\n"
+              "def dumps():\n    return dumps()\n"
+              "def equals():\n    pass\n"
+              "def local():\n    pass\n"
+              "@functools.cache\ndef cached():\n    pass\n"
+              "class Report:\n    pass\n"
+              "x = local()\n")
+    others = reads(reader)
+    assert {("fractions", "equals"), ("forest", "compose"), ("oracle", "descend")} <= others
+    assert unread("fractions", module, others) == ["fractions.dumps", "fractions.Report"]

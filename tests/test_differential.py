@@ -17,6 +17,8 @@ A left-cancellativity "yes" meets no counterexample at the refutation bound,
 and vine words evaluate to equal fractions on the reversing and the oracle
 route.  On the reversing route, fraction identity and equality on code words
 answer as the tree path of `reference` does, `None` and `Unresolved` included.
+The action and the product of elements with a permutation layer answer as
+the reference's whole grown triples do, on both fraction routes.
 """
 
 import collections
@@ -26,7 +28,9 @@ import random
 
 import pytest
 
-from forestskein import corpus, fractions, group_presentation, oracle, ore_spine, reversing
+from forestskein import (
+    corpus, fractions, group_presentation, oracle, ordered_action as oa, ore_spine, reversing,
+)
 from forestskein.config import (
     ABSORPTION_BOUND,
     LC_REFUTE_BOUND,
@@ -45,6 +49,7 @@ from forestskein.forest import (
     word_from_tree,
 )
 from forestskein.presentation import SkeinPresentation, parse
+import reference
 from reference import fractions_equal, stratum, trees_equal, vine_word_trees
 
 PARTIAL_CUBES = {
@@ -259,3 +264,35 @@ def test_code_word_equality_is_the_tree_path():
                 assert got == fractions_equal(g, h), (p.name, g.render(), h.render())
                 seen[got] += 1
     assert all(seen[k] > 0 for k in (True, False, None)), seen
+
+
+def _random_element(rng, p):
+    """A triple of 0-3 carets with the identity, a rotation or a shuffle."""
+    carets = rng.randint(0, 3)
+    n = carets + 1
+    perm = rng.choice((oa.identity_perm(n), oa.rotation(n, rng.randrange(n)),
+                       tuple(rng.sample(range(1, n + 1), n))))
+    return oa.PermutationElement(random_tree(rng, p.colours, carets), perm,
+                                 random_tree(rng, p.colours, carets), p)
+
+
+def test_action_is_the_grown_triple():
+    # `perm_multiply`, `act` and the action of the product against the
+    # reference's whole grown triples, on points of 0-4 carets, at three
+    # bounds on two presentations of each fraction route
+    rng, seen = random.Random(40), collections.Counter()
+    for p in map(corpus.load, ("cleary", "ternary", "rebel", "notlc")):
+        for bound in (None, 2, 4):
+            for _ in range(30):
+                g, h = _random_element(rng, p), _random_element(rng, p)
+                t = random_tree(rng, p.colours, rng.randint(0, 4))
+                x = oa.OrderedPoint(t, rng.randint(1, leaf_count(t)), p)
+                gh = _answer(oa.perm_multiply, g, h, bound)
+                cases = [(gh, reference.perm_multiply, (g, h, bound)),
+                         (_answer(oa.act, g, x, bound), reference.act, (g, x, bound))]
+                if isinstance(gh, oa.PermutationElement):
+                    cases.append((_answer(oa.act, gh, x, bound), reference.act, (gh, x, bound)))
+                for got, theirs, args in cases:
+                    assert got == _answer(theirs, *args), (p.name, bound, theirs.__name__, args)
+                    seen["Unresolved" if got == "Unresolved" else theirs.__name__] += 1
+    assert all(seen[k] > 0 for k in ("perm_multiply", "act", "Unresolved")), seen
