@@ -29,6 +29,8 @@ from .presentation import SkeinPresentation, skein_relation_words
 from .snf import cokernel_invariants
 from . import fractions
 
+_CGP_INDEX_CAP = 3      # CGP witness letters are generators of index 1.._CGP_INDEX_CAP
+
 
 @dataclass(frozen=True, order=True)
 class GenSym:
@@ -232,8 +234,7 @@ class CgpReport:
     word_length: int = 0
 
 
-def check_cgp(p: SkeinPresentation, base_colour: str, bound: int | None = None,
-              max_word_length: int = 3, index_cap: int = 3) -> CgpReport:
+def check_cgp(p: SkeinPresentation, base_colour: str, max_word_length: int = 3) -> CgpReport:
     """Try to express each hatted generator as a word in plain generators.
 
     Witnesses are verified by fraction equality; failure to find one within
@@ -241,13 +242,12 @@ def check_cgp(p: SkeinPresentation, base_colour: str, bound: int | None = None,
     witnesses exist can depend on the base colour: the vine construction has
     a chirality, so a presentation may have the property at one colour only.
     """
-    bound = FRACTION_BOUND if bound is None else bound
-    a = base_colour
+    bound, a = FRACTION_BOUND, base_colour
     targets = {(b, j): fractions.generator_element(p, a, b, j, True)
                for b in p.colours if b != a for j in (1, 2)}
     if not targets:
         return CgpReport("yes", {}, bound, 0)
-    alphabet = [(c, k, s) for c in p.colours for k in range(1, index_cap + 1)
+    alphabet = [(c, k, s) for c in p.colours for k in range(1, _CGP_INDEX_CAP + 1)
                 for s in (1, -1)]
 
     def step(elem, letter):
@@ -284,12 +284,11 @@ def check_cgp(p: SkeinPresentation, base_colour: str, bound: int | None = None,
     return CgpReport("unknown", _render_witnesses(witnesses), bound, max_word_length)
 
 
-def check_cgp_any(p: SkeinPresentation, bound: int | None = None,
-                  max_word_length: int = 3, index_cap: int = 3):
+def check_cgp_any(p: SkeinPresentation, max_word_length: int = 3):
     """CGP at whichever colour admits witnesses first; (colour, report)."""
     best = None
     for colour in p.colours:
-        rep = check_cgp(p, colour, bound, max_word_length, index_cap)
+        rep = check_cgp(p, colour, max_word_length)
         if rep.verdict == "yes":
             return colour, rep
         if best is None:

@@ -271,16 +271,16 @@ class OreReport:
 def check_ore_bounded(p: SkeinPresentation, pair_bound: int, search_bound: int) -> OreReport:
     """Look for a common upper bound for every pair of small trees.
 
-    Each small class representative gets the set of classes up to the search
-    bound that it divides; a pair fails when those sets are disjoint.
+    Each small class representative gets the set of classes at the search
+    bound that it divides; a pair fails when those sets are disjoint.  No lower
+    level can add a common multiple: x.g ~ y.h lifts to x.g.f ~ y.h.f at the bound.
     """
     if pair_bound > search_bound:
         raise ValueError("pair_bound must be <= search_bound")
     _admit(p, 1, search_bound, OracleBudget())
     reps = [cls[0] for k in range(1, pair_bound + 1)
             for cls in multiple_classes(p, (LEAF,), k)]
-    above = [{id(cls) for k in range(forest_caret_count(x), search_bound + 1)
-              for cls in _multiples(p, x, k)} for x in reps]
+    above = [{id(cls) for cls in _multiples(p, x, search_bound)} for x in reps]
     pairs = list(itertools.combinations(range(len(reps)), 2))
     failures = [(render_forest(reps[i]), render_forest(reps[j]))
                 for i, j in pairs if not above[i] & above[j]]

@@ -574,12 +574,10 @@ def make_fixer(p: SkeinPresentation, t: Tree, f: Forest, h: Forest) -> Permutati
         compose((t,), f)[0], compose((t,), h)[0], p))
 
 
-def sample_fixer(p: SkeinPresentation, t: Tree, rng,
-                 max_carets: int = 2) -> PermutationElement:
-    k = leaf_count(t)
+def sample_fixer(p: SkeinPresentation, t: Tree, rng) -> PermutationElement:
     f, h = [], []
-    for _ in range(k):
-        leaves = rng.randrange(1, max_carets + 2)
+    for _ in range(leaf_count(t)):
+        leaves = rng.randrange(1, 4)            # 0..2 carets per slot, alike on both sides
         f.append(random_tree(rng, p.colours, leaves - 1))
         h.append(random_tree(rng, p.colours, leaves - 1))
     return make_fixer(p, t, tuple(f), tuple(h))

@@ -183,7 +183,6 @@ class SpineReport:
     caret_bound: int
     stage_bound: int
     strategy: str                 # exact | reversing-evidence
-    lc_warning: str | None = None
     bound_hit: bool = False
 
     @property
@@ -229,24 +228,17 @@ def _dedupe(p, trees) -> list:
     return out
 
 
-def _same_stage(p, a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    if sorted(map(caret_count, a)) != sorted(map(caret_count, b)):
-        return False
-    return all(any(reversing.words_equal(p, word_from_tree(x), word_from_tree(y)) == "yes"
-                   for y in b) for x in a)
-
-
 def spine(p: SkeinPresentation,
           caret_bound: int | None = None,
           stage_bound: int | None = None) -> SpineReport:
+    """Stages of minimal common multiples of distinct members, from the colour carets.
+
+    An empty stage stabilizes the spine; a stage at the caret bound is kept
+    and cuts the run.  No stage repeats an earlier one: the least caret count
+    rises strictly, since a common multiple of distinct classes outgrows the smaller.
+    """
     caret_bound = SPINE_CARET_BOUND if caret_bound is None else caret_bound
     stage_bound = SPINE_STAGE_BOUND if stage_bound is None else stage_bound
-
-    lc = reversing.decide_left_cancellative(p)
-    warning = None if lc.verdict == "yes" else \
-        f"left-cancellativity is {lc.verdict}; spine classes may be unreliable"
     strategy = "exact" if fractions.route(p) is not None else "reversing-evidence"
 
     stage = _dedupe(p, [caret(c) for c in p.colours])
@@ -263,17 +255,12 @@ def spine(p: SkeinPresentation,
         if not nxt:
             stabilized = True
             break
-        if any(_same_stage(p, nxt, old) for old in stages):
-            stabilized = True
-            break
         if max(caret_count(t) for t in nxt) >= caret_bound:
             bound_hit = True
             stages.append(nxt)
             break
         stages.append(nxt)
-    report = SpineReport(stages, stabilized, caret_bound, stage_bound,
-                         strategy, warning, bound_hit)
-    return report
+    return SpineReport(stages, stabilized, caret_bound, stage_bound, strategy, bound_hit)
 
 
 def spine_classes_deduped(p: SkeinPresentation, report: SpineReport) -> list:

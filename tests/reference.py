@@ -5,21 +5,25 @@
 relation in both directions.  The oracle's class search and `saturate` walk
 `forest.neighbours` instead, so a fault in that walk shows against it.
 
-The rest serve the tests only: the class order and bounded minimal common
-multiples over the oracle's class reads, signed-word helpers for reversing,
-the cube word of the completeness check, the iterates of a tree, and the
-tree path of fraction identity and equality on reversing presentations
-(`vine_word_trees`, `trees_equal`, `fractions_equal`), which builds and
-composes trees and compares their words with `reversing.words_equal`, and
-the action by whole grown triples (`grow_triple`, `perm_multiply`, `act`),
-which grows and validates both sides of every triple it touches.
+The rest serve the tests only: the class order, bounded minimal common
+multiples and the Ore check at every level up to its search bound, over the
+oracle's class reads, signed-word helpers for reversing, the cube word of
+the completeness check, the iterates of a tree, and the tree path of
+fraction identity and equality on reversing presentations (`vine_word_trees`,
+`trees_equal`, `fractions_equal`), which builds and composes trees and
+compares their words with `reversing.words_equal`, and the action by whole
+grown triples (`grow_triple`, `perm_multiply`, `act`), which grows and
+validates both sides of every triple it touches.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from forestskein import fractions, oracle, ordered_action as oa, reversing
+from forestskein.config import OracleBudget
 from forestskein.forest import (
+    LEAF,
     caret_count,
     compose,
     find_occurrences,
@@ -30,6 +34,7 @@ from forestskein.forest import (
     leaf_count,
     leaf_starts,
     parse_word,
+    render_forest,
     rewrite_at,
     tree_from_word,
     word_from_tree,
@@ -94,6 +99,23 @@ def mcm_bounded(p, x, y, bound: int) -> list:
                if oracle.divide_class((b,), cls) is not None]
     return [z for z in commons
             if not any(w != z and class_leq(p, w, z) is not None for w in commons)]
+
+
+def ore_all_levels(p, pair_bound: int, search_bound: int) -> oracle.OreReport:
+    """The bounded Ore check with every level read: each representative x
+    divides the classes of x . g from its own caret count up to the search
+    bound, not only at the bound."""
+    if pair_bound > search_bound:
+        raise ValueError("pair_bound must be <= search_bound")
+    oracle._admit(p, 1, search_bound, OracleBudget())
+    reps = [cls[0] for k in range(1, pair_bound + 1)
+            for cls in oracle.multiple_classes(p, (LEAF,), k)]
+    above = [{id(cls) for k in range(forest_caret_count(x), search_bound + 1)
+              for cls in oracle._multiples(p, x, k)} for x in reps]
+    pairs = list(itertools.combinations(range(len(reps)), 2))
+    failures = [(render_forest(reps[i]), render_forest(reps[j]))
+                for i, j in pairs if not above[i] & above[j]]
+    return oracle.OreReport(pair_bound, search_bound, failures, len(pairs))
 
 
 def parse_signed_word(text: str) -> tuple:

@@ -21,7 +21,7 @@ from forestskein.forest import (
 )
 from forestskein.ordered_action import normalize_point
 from forestskein.presentation import memo, parse
-from reference import class_leq, mcm_bounded, stratum
+from reference import class_leq, mcm_bounded, ore_all_levels, stratum
 
 
 def tw(text):
@@ -177,6 +177,23 @@ def test_check_ore_bounded(cleary, free2, free1):
     assert rep.pairs_checked > 0
     rep = oracle.check_ore_bounded(free1, 2, 5)
     assert rep.failures == []
+
+
+ORE_BOUND_PAIRS = [(3, 5), (1, 3), (2, 4), (2, 2), (1, 1)]
+
+
+def test_ore_check_at_the_search_bound_matches_every_level():
+    # a common multiple below the search bound lifts to one at it, so the
+    # search bound alone gives every report; the families run at the pairs
+    # of one to three carets, as (2, 4) and (3, 5) cost them 1.4 s and 40 s (2 vCPU)
+    from test_ore_spine import _families
+
+    runs = [(corpus.load(name), bounds) for name in corpus.names() for bounds in ORE_BOUND_PAIRS]
+    runs += [(p, bounds) for p in _families() for bounds in ORE_BOUND_PAIRS
+             if bounds[1] <= 3]
+    for p, (pair_bound, search_bound) in runs:
+        got = oracle.check_ore_bounded(p, pair_bound, search_bound)
+        assert got == ore_all_levels(p, pair_bound, search_bound), (p.name, pair_bound, search_bound)
 
 
 def test_mcm_examples(cleary, free2):

@@ -257,6 +257,44 @@ def test_a_point_is_scanned_once_per_presentation(cleary, monkeypatch):
     assert oa._points(cleary) == {}
 
 
+def test_scan_skips_an_unresolved_candidate(cleary, monkeypatch):
+    # a cleary point whose normal form lies below its prune end
+    rng = random.Random(47)
+    while True:
+        t = random_tree(rng, cleary.colours, rng.randint(2, 5))
+        j = rng.randint(1, leaf_count(t))
+        end = oa.prune_point(t, j)
+        memo.cache_clear()
+        x = oa.normalize_point(cleary, t, j)
+        if (x.tree, x.leaf) != end:
+            break
+    starts, calls = fr.witness_starts, []
+
+    def unresolved(p, cand, best_t, bound=None):
+        calls.append(cand)
+        raise fr.Unresolved("blocked")
+
+    def unresolved_at_x(p, cand, best_t, bound=None):
+        if cand == x.tree:
+            raise fr.Unresolved("blocked")
+        return starts(p, cand, best_t, bound)
+
+    try:
+        # every candidate is skipped: the prune end stands
+        memo.cache_clear()
+        monkeypatch.setattr(fr, "witness_starts", unresolved)
+        assert oa.normalize_point(cleary, t, j) == oa.OrderedPoint(*end, cleary)
+        assert x.tree in calls
+        # the least candidate is skipped: a later one equal to the point is found
+        memo.cache_clear()
+        monkeypatch.setattr(fr, "witness_starts", unresolved_at_x)
+        y = oa.normalize_point(cleary, t, j)
+        monkeypatch.setattr(fr, "witness_starts", starts)
+        assert y != x and oa.compare(y, oa.OrderedPoint(t, j, cleary)) == "EQ"
+    finally:
+        memo.cache_clear()      # no later test reads a point normalized here
+
+
 def test_point_counts_up_to_four_carets():
     counts = {name: len(oa._all_points(corpus.load(name), 4))
               for name in ("cleary", "free1", "ternary", "gn3")}

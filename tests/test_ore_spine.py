@@ -9,6 +9,7 @@ from forestskein.config import ReversingBudget
 from forestskein.corpus import load
 from forestskein.forest import (
     caret,
+    caret_count,
     forest_from_word,
     leaf_count,
     parse_word,
@@ -100,6 +101,15 @@ def test_spine_over_the_caret_bound_is_not_stabilized(cleary, rebel):
         assert osp.f_infinity_certificate(p, rep) is None
 
 
+def test_spine_stage_minimum_rises():
+    # distinct classes have only common multiples with more carets than the
+    # smaller, so no stage can repeat an earlier one and the spine needs no
+    # exit for a repeat
+    for p in _digest_set():
+        least = [min(map(caret_count, stage)) for stage in osp.spine(p).stages]
+        assert all(a < b for a, b in zip(least, least[1:])), (p.name, least)
+
+
 def test_spine_stages_verified_against_oracle(cleary):
     rep = osp.spine(cleary)
     got = {render_tree(z[0]) for z in
@@ -109,11 +119,6 @@ def test_spine_stages_verified_against_oracle(cleary):
     for t in rep.stages[1]:
         assert class_leq(cleary, (caret("a"),), (t,)) is not None
         assert class_leq(cleary, (caret("b"),), (t,)) is not None
-
-
-def test_spine_warns_without_lc(notlc):
-    rep = osp.spine(notlc)
-    assert rep.lc_warning is not None
 
 
 def test_f_infinity(cleary, rebel, free1):

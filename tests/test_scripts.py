@@ -99,8 +99,8 @@ def test_ab_inproc_smoke(capsys):
     summary = json.loads(lines[-1])
     assert (summary["workload"], summary["seed"], summary["blocks"]) == ("query", 1, 2)
     metrics = summary["metrics"]
-    assert set(metrics) == {"setup_s", "ops_per_s", "op_p50_ms", "failed"}
-    for name in ("setup_s", "ops_per_s", "op_p50_ms"):
+    assert set(metrics) == {"ops_per_s", "op_p50_ms", "failed"}
+    for name in ("ops_per_s", "op_p50_ms"):
         m = metrics[name]
         assert len(m["ratios"]) == 2 and 0 <= m["blocks_favouring_change"] <= 2
         assert 0 < m["q1"] <= m["median_ratio"] <= m["q3"]
